@@ -329,8 +329,7 @@ def _cmd_learn(conf) -> int:
 
 def _cmd_psne(conf) -> int:
     game = fileio.read_game(fileio.load_text(conf["game"]))
-    eps = conf.get("epsilon", 0.0)
-    result = enumerate_eps_ne(game, eps) if eps > 0 else enumerate_psne(game)
+    result = enumerate_eps_ne(game, conf.get("epsilon", 0.0))
     header = fileio.artifact_header("psne", _config_echo(conf))
     _emit(fileio.write_psne(result, header), conf.get("out"))
     return EXIT_OK

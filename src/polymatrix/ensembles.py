@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .games import PolymatrixGame
+from .observation import _rng
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,6 @@ class HardEnsembleSpec:
                     "target profile must contain at least two distinct strategies"
                 )
             object.__setattr__(self, "target", tgt)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def random_game(spec: RandomGameSpec) -> PolymatrixGame:

@@ -23,11 +23,17 @@ import numpy as np
 from .errors import InvalidInputError
 from .games import (
     DEFAULT_ENUMERATION_CAP,
+    GroupedVector,
     PolymatrixGame,
     PsneSet,
+    _eps_ne_mask,
+    _game_terms,
     _profile_blocks,
-    check_separability,
-    enumerate_eps_ne,
+    _psne_rows,
+    _separable,
+    _strategy_payoffs,
+    _vector_terms,
+    ensure_enumerable,
     enumerate_psne,
     pack_parameters,
     profile_count,
@@ -302,28 +308,6 @@ def _as_params(true_game: PolymatrixGame, learned) -> tuple:
     raise InvalidInputError("learned must be a LearnedModel or a PolymatrixGame")
 
 
-def _max_payoff_gap(true_game: PolymatrixGame, params) -> float:
-    """Max over players and profiles of |estimated payoff - true payoff|."""
-    worst = 0.0
-    counts = true_game.strategy_counts
-    for block in _profile_blocks(counts):
-        for i in range(true_game.num_players):
-            vals = np.zeros(block.shape[0])
-            vals += true_game.individual[i][block[:, i]]
-            for j in true_game.neighbors[i]:
-                vals += true_game.pair_matrix(i, j)[block[:, i], block[:, j]]
-            theta = params[i]
-            lay = theta.layout
-            est = theta.values[block[:, i]].astype(float)
-            for g, j in enumerate(lay.others, start=1):
-                mat = theta.values[lay.group_slice(g)].reshape(
-                    counts[i], counts[j]
-                )
-                est += mat[block[:, i], block[:, j]]
-            worst = max(worst, float(np.abs(est - vals).max()))
-    return worst
-
-
 def evaluate_theorem1(
     true_game: PolymatrixGame,
     learned,
@@ -340,41 +324,44 @@ def evaluate_theorem1(
     sets must coincide.
     """
     params, learned_game = _as_params(true_game, learned)
-    true_params = tuple(
-        pack_parameters(true_game, i) for i in range(true_game.num_players)
+    diffs = (
+        GroupedVector(est.layout, est.values - pack_parameters(true_game, i).values)
+        for i, est in enumerate(params)
     )
-    errors = tuple(
-        float(
-            sum(
-                np.linalg.norm((est.values - tru.values)[est.layout.group_slice(g)])
-                for g in range(est.layout.num_groups)
-            )
-        )
-        for est, tru in zip(params, true_params)
-    )
+    errors = tuple(float(sum(d.group_norms().tolist())) for d in diffs)
     max_err = max(errors)
-    discrepancy = _max_payoff_gap(true_game, params)
     epsilon = 2.0 * max_err
 
-    if ne_true is None:
-        ne_true = enumerate_psne(true_game, cap=cap)
-    ne_learned = enumerate_psne(learned_game, cap=cap)
-    eps_true = enumerate_eps_ne(true_game, epsilon, cap=cap)
-    eps_learned = enumerate_eps_ne(learned_game, epsilon, cap=cap)
+    # One pass over the profile space: both exact PSNE sets and the worst payoff gap.
+    counts = true_game.strategy_counts
+    ensure_enumerable(counts, cap)
+    found_true, found_learned = [], []
+    discrepancy = 0.0
+    for block in _profile_blocks(counts):
+        if ne_true is None:
+            found_true.append(block[_eps_ne_mask(true_game, block, 0.0)])
+        found_learned.append(block[_eps_ne_mask(learned_game, block, 0.0)])
+        for i, theta in enumerate(params):
+            est = _strategy_payoffs(*_vector_terms(theta), block)
+            tru = _strategy_payoffs(*_game_terms(true_game, i), block)
+            discrepancy = max(discrepancy, float(np.abs(est - tru).max()))
+    true_rows = np.concatenate(found_true) if ne_true is None else _psne_rows(ne_true, len(counts))
+    learned_rows = np.concatenate(found_learned)
 
-    learned_in_eps_true = ne_learned.issubset(eps_true)
-    true_in_eps_learned = ne_true.issubset(eps_learned)
+    # A PSNE set lies in the other game's epsilon-NE set iff each of its rows passes the test.
+    learned_in_eps_true = bool(_eps_ne_mask(true_game, learned_rows, epsilon).all())
+    true_in_eps_learned = bool(_eps_ne_mask(learned_game, true_rows, epsilon).all())
     return Theorem1Evaluation(
         param_errors=errors,
         max_param_error=max_err,
         payoff_discrepancy=discrepancy,
         epsilon=epsilon,
         discrepancy_bounded=discrepancy <= max_err + 1e-9,
-        ne_true_size=len(ne_true),
-        ne_learned_size=len(ne_learned),
+        ne_true_size=len(true_rows),
+        ne_learned_size=len(learned_rows),
         learned_in_eps_true=learned_in_eps_true,
         true_in_eps_learned=true_in_eps_learned,
         containment_ok=learned_in_eps_true and true_in_eps_learned,
-        separable_at_epsilon=check_separability(true_game, epsilon, cap=cap),
-        ne_equal=ne_true.same_profiles(ne_learned),
+        separable_at_epsilon=_separable(true_game, true_rows, epsilon),
+        ne_equal=np.array_equal(true_rows, learned_rows),
     )

@@ -11,6 +11,10 @@ inner product of a grouped parameter vector with a binary feature vector
 built from the profile. ``GroupLayout`` fixes that grouping and
 ``pack_parameters`` / ``unpack_parameters`` convert between the two
 representations.
+
+Every payoff goes through one kernel, ``_strategy_payoffs``: each own
+strategy's payoff for every row of a profile block, from a game's or a
+grouped vector's terms. A single profile is a one-row block.
 """
 
 from __future__ import annotations
@@ -70,17 +74,45 @@ def all_profiles(strategy_counts):
     return itertools.product(*(range(m) for m in strategy_counts))
 
 
+def _radix(strategy_counts) -> np.ndarray:
+    """Place values of the lexicographic profile code (player 0 most significant)."""
+    return np.array([profile_count(strategy_counts[j + 1:]) for j in range(len(strategy_counts))])
+
+
 def _profile_blocks(strategy_counts, chunk: int = _CHUNK):
     """Yield ``(B, p)`` int arrays covering the profile space in lexicographic order."""
     counts = np.asarray(strategy_counts, dtype=np.int64)
-    p = len(counts)
-    radix = np.ones(p, dtype=np.int64)
-    for j in range(p - 2, -1, -1):
-        radix[j] = radix[j + 1] * counts[j + 1]
-    total = int(radix[0] * counts[0])
+    radix = _radix(counts)
+    total = profile_count(counts)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield (idx[:, None] // radix[None, :]) % counts[None, :]
+        yield idx[:, None] // radix % counts
+
+
+def _strategy_payoffs(base, terms, block: np.ndarray) -> np.ndarray:
+    """Payoffs of every own strategy, one ``(B, m_i)`` row per profile of ``block``.
+
+    Starts from ``base`` and adds column ``block[:, j]`` of ``M`` for each
+    ``(j, M)`` of ``terms`` in order, so every caller sums in the same order.
+    """
+    # Column-major: the row-wise reductions callers make run many times faster.
+    vals = np.array(np.broadcast_to(base, (block.shape[0], len(base))), order="F")
+    for j, mat in terms:
+        vals += mat.T[block[:, j]]
+    return vals
+
+
+def _game_terms(game: "PolymatrixGame", i: int):
+    """Kernel terms of player ``i``: individual payoffs, in-neighbor matrices ascending."""
+    return game.individual[i], [(j, game.pair_matrix(i, j)) for j in game.neighbors[i]]
+
+
+def _vector_terms(theta: "GroupedVector"):
+    """Kernel terms of a grouped vector: group 0, then every pair group in layout order."""
+    lay = theta.layout
+    return theta.group(0), [
+        (j, lay.matrix_view(theta.values, g)) for g, j in enumerate(lay.others, start=1)
+    ]
 
 
 class PolymatrixGame:
@@ -251,23 +283,22 @@ class PsneSet:
         return self.profiles == other.profiles
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon >= 0:
+        raise InvalidInputError(f"epsilon must be nonnegative, got {epsilon}")
+
+
+def _psne_rows(psne: PsneSet, p: int) -> np.ndarray:
+    """The profiles of ``psne`` as a ``(len(psne), p)`` block."""
+    return np.asarray(psne.profiles, dtype=np.int64).reshape(len(psne), p)
+
+
 def payoff(game: PolymatrixGame, i: int, x) -> float:
     """Total payoff of player ``i`` at profile ``x``."""
     if not 0 <= i < game.num_players:
         raise InvalidInputError(f"player index {i} out of range")
     x = validate_profile(game.strategy_counts, x)
-    total = float(game.individual[i][x[i]])
-    for j in game.neighbors[i]:
-        total += float(game.pair_matrix(i, j)[x[i], x[j]])
-    return total
-
-
-def _payoff_vector(game: PolymatrixGame, i: int, x) -> np.ndarray:
-    """Payoffs of every strategy of player ``i`` against the context in ``x``."""
-    vals = game.individual[i].copy()
-    for j in game.neighbors[i]:
-        vals += game.pair_matrix(i, j)[:, x[j]]
-    return vals
+    return float(_strategy_payoffs(*_game_terms(game, i), np.array([x]))[0, x[i]])
 
 
 def best_responses(game: PolymatrixGame, i: int, x) -> tuple:
@@ -275,34 +306,33 @@ def best_responses(game: PolymatrixGame, i: int, x) -> tuple:
     if not 0 <= i < game.num_players:
         raise InvalidInputError(f"player index {i} out of range")
     x = validate_profile(game.strategy_counts, x)
-    vals = _payoff_vector(game, i, x)
+    vals = _strategy_payoffs(*_game_terms(game, i), np.array([x]))[0]
     return tuple(int(a) for a in np.flatnonzero(vals == vals.max()))
+
+
+def _eps_ne_mask(game: PolymatrixGame, block: np.ndarray, epsilon: float) -> np.ndarray:
+    """Which rows of ``block`` no player can improve on by more than ``epsilon``."""
+    live = np.arange(block.shape[0])
+    for i in range(game.num_players):
+        # Player i only tests the rows every earlier player accepted.
+        rows = block[live]
+        vals = _strategy_payoffs(*_game_terms(game, i), rows)
+        live = live[vals[np.arange(len(live)), rows[:, i]] >= vals.max(axis=1) - epsilon]
+    ok = np.zeros(block.shape[0], dtype=bool)
+    ok[live] = True
+    return ok
 
 
 def is_eps_ne(game: PolymatrixGame, x, epsilon: float) -> bool:
     """True when no unilateral deviation gains more than ``epsilon``."""
-    if epsilon < 0:
-        raise InvalidInputError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_epsilon(epsilon)
     x = validate_profile(game.strategy_counts, x)
-    for i in range(game.num_players):
-        vals = _payoff_vector(game, i, x)
-        if vals[x[i]] < vals.max() - epsilon:
-            return False
-    return True
+    return bool(_eps_ne_mask(game, np.array([x]), epsilon)[0])
 
 
 def is_psne(game: PolymatrixGame, x) -> bool:
     """True when ``x`` is an exact pure-strategy Nash equilibrium."""
     return is_eps_ne(game, x, 0.0)
-
-
-def _chunk_payoffs_all(game: PolymatrixGame, i: int, block: np.ndarray) -> np.ndarray:
-    """Payoffs of every strategy of player ``i``, vectorized over a profile block."""
-    vals = np.broadcast_to(game.individual[i], (block.shape[0], len(game.individual[i])))
-    vals = np.array(vals)
-    for j in game.neighbors[i]:
-        vals += game.pair_matrix(i, j).T[block[:, j]]
-    return vals
 
 
 def enumerate_eps_ne(
@@ -313,25 +343,13 @@ def enumerate_eps_ne(
     Deterministic: profiles come out in lexicographic order. Raises
     :class:`CapacityError` when the profile space exceeds ``cap``.
     """
-    if epsilon < 0:
-        raise InvalidInputError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_epsilon(epsilon)
     ensure_enumerable(game.strategy_counts, cap)
-    rows = []
-    p = game.num_players
-    for block in _profile_blocks(game.strategy_counts):
-        ok = np.ones(block.shape[0], dtype=bool)
-        for i in range(p):
-            vals = _chunk_payoffs_all(game, i, block)
-            own = vals[np.arange(block.shape[0]), block[:, i]]
-            ok &= own >= vals.max(axis=1) - epsilon
-            if not ok.any():
-                break
-        if ok.any():
-            rows.append(block[ok])
-    if rows:
-        profiles = tuple(map(tuple, np.concatenate(rows).tolist()))
-    else:
-        profiles = ()
+    rows = [
+        block[_eps_ne_mask(game, block, epsilon)]
+        for block in _profile_blocks(game.strategy_counts)
+    ]
+    profiles = tuple(map(tuple, np.concatenate(rows).tolist()))
     return PsneSet(profiles=profiles, epsilon=float(epsilon))
 
 
@@ -345,6 +363,15 @@ def payoff_shift(game: PolymatrixGame) -> float:
     return max(0.0, -game.min_payoff_entry())
 
 
+def _welfare_rows(game: PolymatrixGame, block: np.ndarray, shift: float) -> np.ndarray:
+    """Shifted welfare of every row of ``block``, summed player by player."""
+    total = np.zeros(block.shape[0])
+    for i in range(game.num_players):
+        vals = _strategy_payoffs(*_game_terms(game, i), block)
+        total += vals[np.arange(block.shape[0]), block[:, i]] + shift * (1 + game.degree(i))
+    return total
+
+
 def welfare(game: PolymatrixGame, x, shift: float = None) -> float:
     """Sum of all players' payoffs after the global nonnegativity shift.
 
@@ -354,10 +381,7 @@ def welfare(game: PolymatrixGame, x, shift: float = None) -> float:
     if shift is None:
         shift = payoff_shift(game)
     x = validate_profile(game.strategy_counts, x)
-    total = 0.0
-    for i in range(game.num_players):
-        total += payoff(game, i, x) + shift * (1 + game.degree(i))
-    return total
+    return float(_welfare_rows(game, np.array([x]), shift)[0])
 
 
 def welfare_extremes(
@@ -368,17 +392,12 @@ def welfare_extremes(
         raise InvalidInputError("welfare extremes need a nonempty equilibrium set")
     ensure_enumerable(game.strategy_counts, cap)
     shift = payoff_shift(game)
-    shift_total = shift * sum(1 + game.degree(i) for i in range(game.num_players))
-
-    best = -np.inf
-    for block in _profile_blocks(game.strategy_counts):
-        tot = np.full(block.shape[0], shift_total)
-        for i in range(game.num_players):
-            vals = _chunk_payoffs_all(game, i, block)
-            tot += vals[np.arange(block.shape[0]), block[:, i]]
-        best = max(best, float(tot.max()))
-
-    worst_eq = min(welfare(game, x, shift=shift) for x in psne)
+    # One summation for both, so a best profile that is the worst equilibrium gives PoA 1.
+    best = max(
+        float(_welfare_rows(game, block, shift).max())
+        for block in _profile_blocks(game.strategy_counts)
+    )
+    worst_eq = float(_welfare_rows(game, _psne_rows(psne, game.num_players), shift).min())
     return best, worst_eq
 
 
@@ -400,6 +419,20 @@ def price_of_anarchy(
     return best / worst_eq
 
 
+def _separable(game: PolymatrixGame, ne_rows: np.ndarray, epsilon: float) -> bool:
+    """:func:`check_separability` for the known equilibrium set ``ne_rows``."""
+    radix = _radix(game.strategy_counts)
+    codes = ne_rows @ radix
+    for i in range(game.num_players):
+        vals = _strategy_payoffs(*_game_terms(game, i), ne_rows)
+        own = vals[np.arange(len(ne_rows)), ne_rows[:, i]]
+        # Switching to a strategy that stays in the set (own included) needs no gap.
+        moved = codes[:, None] + (np.arange(vals.shape[1]) - ne_rows[:, i:i + 1]) * radix[i]
+        if not np.all(np.isin(moved, codes) | (own[:, None] > vals + epsilon)):
+            return False
+    return True
+
+
 def check_separability(
     game: PolymatrixGame, epsilon: float, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
@@ -409,22 +442,9 @@ def check_separability(
     obtained by switching ``i``'s strategy out of the equilibrium set loses
     strictly more than ``epsilon`` payoff.
     """
-    if epsilon < 0:
-        raise InvalidInputError(f"epsilon must be nonnegative, got {epsilon}")
+    _check_epsilon(epsilon)
     ne = enumerate_psne(game, cap=cap)
-    members = ne.as_set()
-    for x in ne:
-        for i in range(game.num_players):
-            vals = _payoff_vector(game, i, x)
-            for a in range(game.strategy_counts[i]):
-                if a == x[i]:
-                    continue
-                y = x[:i] + (a,) + x[i + 1:]
-                if y in members:
-                    continue
-                if not vals[x[i]] > vals[a] + epsilon:
-                    return False
-    return True
+    return _separable(game, _psne_rows(ne, game.num_players), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +495,22 @@ class GroupLayout:
         ``x`` is any profile-length sequence; its entry for the owning player
         is ignored. Every group contains exactly one 1.
         """
-        mi = self.counts[self.player]
-        if not 0 <= a < mi:
-            raise InvalidInputError(f"strategy {a} out of range for player {self.player}")
+        block = self._context_block(a, x)
+        v = np.zeros(self.dim)
+        v[a] = 1.0
+        for g, j in enumerate(self.others, start=1):
+            v[self.offsets[g] + a * self.counts[j] + block[0, j]] = 1.0
+        return v
+
+    def _context_block(self, a: int, x) -> np.ndarray:
+        """Own strategy ``a`` in context ``x`` (owner entry ignored), validated, as one row."""
         if len(x) != len(self.counts):
             raise InvalidInputError(
                 f"context has length {len(x)}, expected {len(self.counts)}"
             )
-        v = np.zeros(self.dim)
-        v[a] = 1.0
-        for g, j in enumerate(self.others, start=1):
-            xj = int(x[j])
-            mj = self.counts[j]
-            if not 0 <= xj < mj:
-                raise InvalidInputError(f"strategy {xj} out of range for player {j}")
-            v[self.offsets[g] + a * mj + xj] = 1.0
-        return v
+        row = list(x)
+        row[self.player] = a
+        return np.array([validate_profile(self.counts, row)])
 
     def matrix_view(self, values: np.ndarray, g: int) -> np.ndarray:
         """Group ``g > 0`` of ``values`` reshaped to its ``m_i x m_j`` matrix."""
@@ -555,15 +575,8 @@ def featurize(strategy_counts, i: int, a: int, x) -> np.ndarray:
 
 def linear_payoff(theta: GroupedVector, a: int, x) -> float:
     """Inner product of parameters with the feature vector, without materializing it."""
-    lay = theta.layout
-    mi = lay.counts[lay.player]
-    if not 0 <= a < mi:
-        raise InvalidInputError(f"strategy {a} out of range for player {lay.player}")
-    total = float(theta.values[a])
-    for g, j in enumerate(lay.others, start=1):
-        mj = lay.counts[j]
-        total += float(theta.values[lay.offsets[g] + a * mj + int(x[j])])
-    return total
+    block = theta.layout._context_block(a, x)
+    return float(_strategy_payoffs(*_vector_terms(theta), block)[0, a])
 
 
 def pack_parameters(game: PolymatrixGame, i: int) -> GroupedVector:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ScheduleInfeasibleError
 from .games import GroupLayout, GroupedVector, PolymatrixGame, validate_profile
+from .games import _strategy_payoffs, _vector_terms
 from .observation import Dataset
 
 DEFAULT_HESSIAN_DIM_CAP = 4096
@@ -149,12 +150,7 @@ class _PlayerData:
 
 
 def _sigma_vector(theta: GroupedVector, x) -> np.ndarray:
-    lay = theta.layout
-    mi = lay.counts[lay.player]
-    logits = theta.values[:mi].copy()
-    for g, j in enumerate(lay.others, start=1):
-        mj = lay.counts[j]
-        logits += theta.values[lay.group_slice(g)].reshape(mi, mj)[:, int(x[j])]
+    logits = _strategy_payoffs(*_vector_terms(theta), np.array([x]))[0]
     logits -= logits.max()
     ex = np.exp(logits)
     return ex / ex.sum()
@@ -172,15 +168,10 @@ def softmax_sigma(theta: GroupedVector, x, a: int) -> float:
 def sample_loss(theta: GroupedVector, x) -> float:
     """Negative log model probability of the owner's observed strategy."""
     x = validate_profile(theta.layout.counts, x)
-    lay = theta.layout
-    mi = lay.counts[lay.player]
-    logits = theta.values[:mi].copy()
-    for g, j in enumerate(lay.others, start=1):
-        mj = lay.counts[j]
-        logits += theta.values[lay.group_slice(g)].reshape(mi, mj)[:, x[j]]
+    logits = _strategy_payoffs(*_vector_terms(theta), np.array([x]))[0]
     mx = logits.max()
     lse = mx + math.log(np.exp(logits - mx).sum())
-    return float(lse - logits[x[lay.player]])
+    return float(lse - logits[x[theta.owner]])
 
 
 def empirical_loss(theta: GroupedVector, data: Dataset) -> float:

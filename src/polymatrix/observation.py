@@ -7,6 +7,10 @@ coordinate independently, resampling a wrong strategy uniformly. Both
 concentrate more mass on each equilibrium profile than on any other
 profile, which is the condition the learner relies on.
 
+Each model's probability formula is written once, in ``_pmf_block``, for
+every row of a profile block. The scalar pmfs pass one row; only
+``pmf_table`` turns the whole-space array into a dict.
+
 Sampling uses a counter-based generator (Philox) keyed by an explicit
 64-bit seed, so independent calls with distinct seeds are reproducible
 and order-independent.
@@ -27,6 +31,9 @@ from .games import (
     DEFAULT_ENUMERATION_CAP,
     PolymatrixGame,
     PsneSet,
+    _profile_blocks,
+    _psne_rows,
+    _radix,
     all_profiles,
     ensure_enumerable,
     enumerate_psne,
@@ -159,6 +166,38 @@ def _validate_local(game, noise, psne):
         )
 
 
+def _validate(game, noise, psne):
+    if isinstance(noise, GlobalNoise):
+        _validate_global(game, noise, psne)
+    elif isinstance(noise, LocalNoise):
+        _validate_local(game, noise, psne)
+    else:
+        raise InvalidInputError(f"unknown noise model {noise!r}")
+
+
+def _pmf_block(game: PolymatrixGame, noise, psne: PsneSet, block: np.ndarray) -> np.ndarray:
+    """Probability of every profile row of ``block``; ``noise`` is already validated.
+
+    Local noise multiplies the per-player factors in player order and adds
+    the equilibria in set order, exactly as a scalar loop would.
+    """
+    ne_rows = _psne_rows(psne, game.num_players)
+    if isinstance(noise, GlobalNoise):
+        n_ne = len(psne)
+        n_all = profile_count(game.strategy_counts)
+        in_ne = noise.q / n_ne
+        out_ne = 0.0 if noise.q == 1.0 else (1.0 - noise.q) / (n_all - n_ne)
+        radix = _radix(game.strategy_counts)
+        return np.where(np.isin(block @ radix, ne_rows @ radix), in_ne, out_ne)
+    total = np.zeros(block.shape[0])
+    for y in ne_rows:
+        prob = np.ones(block.shape[0])
+        for i, (q, m) in enumerate(zip(noise.q, game.strategy_counts)):
+            prob *= np.where(block[:, i] == y[i], q, (1.0 - q) / (m - 1))
+        total += prob
+    return total / len(psne)
+
+
 def global_noise_pmf(
     game: PolymatrixGame,
     noise: GlobalNoise,
@@ -170,13 +209,7 @@ def global_noise_pmf(
     psne = _psne_or_enumerate(game, psne, cap)
     _validate_global(game, noise, psne)
     x = validate_profile(game.strategy_counts, x)
-    n_ne = len(psne)
-    n_all = profile_count(game.strategy_counts)
-    if x in psne:
-        return noise.q / n_ne
-    if noise.q == 1.0:
-        return 0.0
-    return (1.0 - noise.q) / (n_all - n_ne)
+    return float(_pmf_block(game, noise, psne, np.array([x]))[0])
 
 
 def local_noise_pmf(
@@ -190,16 +223,17 @@ def local_noise_pmf(
     psne = _psne_or_enumerate(game, psne, cap)
     _validate_local(game, noise, psne)
     x = validate_profile(game.strategy_counts, x)
-    total = 0.0
-    for y in psne:
-        prob = 1.0
-        for i, (xi, yi) in enumerate(zip(x, y)):
-            if xi == yi:
-                prob *= noise.q[i]
-            else:
-                prob *= (1.0 - noise.q[i]) / (game.strategy_counts[i] - 1)
-        total += prob
-    return total / len(psne)
+    return float(_pmf_block(game, noise, psne, np.array([x]))[0])
+
+
+def _pmf_array(game: PolymatrixGame, noise, psne: PsneSet, cap: int) -> np.ndarray:
+    """Probability of every profile, indexed by lexicographic profile code."""
+    ensure_enumerable(game.strategy_counts, cap)
+    psne = _psne_or_enumerate(game, psne, cap)
+    _validate(game, noise, psne)
+    return np.concatenate(
+        [_pmf_block(game, noise, psne, block) for block in _profile_blocks(game.strategy_counts)]
+    )
 
 
 def pmf_table(
@@ -209,23 +243,8 @@ def pmf_table(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict:
     """Exact probability of every profile, as a dict keyed by profile tuple."""
-    ensure_enumerable(game.strategy_counts, cap)
-    psne = _psne_or_enumerate(game, psne, cap)
-    if isinstance(noise, GlobalNoise):
-        _validate_global(game, noise, psne)
-        n_ne = len(psne)
-        n_all = profile_count(game.strategy_counts)
-        in_ne = noise.q / n_ne
-        out_ne = 0.0 if noise.q == 1.0 else (1.0 - noise.q) / (n_all - n_ne)
-        members = psne.as_set()
-        return {x: (in_ne if x in members else out_ne) for x in all_profiles(game.strategy_counts)}
-    if isinstance(noise, LocalNoise):
-        _validate_local(game, noise, psne)
-        return {
-            x: local_noise_pmf(game, noise, x, psne=psne, cap=cap)
-            for x in all_profiles(game.strategy_counts)
-        }
-    raise InvalidInputError(f"unknown noise model {noise!r}")
+    probs = _pmf_array(game, noise, psne, cap)
+    return dict(zip(all_profiles(game.strategy_counts), probs.tolist()))
 
 
 def check_observation_condition(pmf: dict, psne: PsneSet) -> bool:
@@ -251,6 +270,7 @@ def check_observation_condition(pmf: dict, psne: PsneSet) -> bool:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """Philox generator keyed by the low 64 bits of ``seed``; every seeded draw uses it."""
     key = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -273,18 +293,16 @@ def sample_dataset(
     counts = np.asarray(game.strategy_counts, dtype=np.int64)
     p = game.num_players
     rng = _rng(seed)
-    ne_rows = np.asarray(psne.profiles, dtype=np.int64).reshape(len(psne), p)
+    ne_rows = _psne_rows(psne, p)
 
+    _validate(game, noise, psne)
     if isinstance(noise, GlobalNoise):
-        _validate_global(game, noise, psne)
         take_ne = rng.random(n) < noise.q
         idx = rng.integers(0, len(psne), size=n)
         out = ne_rows[idx]
         pending = np.flatnonzero(~take_ne)
         # Uniform over the complement by rejection against the equilibrium set.
-        radix = np.ones(p, dtype=np.int64)
-        for j in range(p - 2, -1, -1):
-            radix[j] = radix[j + 1] * counts[j + 1]
+        radix = _radix(counts)
         ne_codes = ne_rows @ radix
         while pending.size:
             cand = rng.integers(0, counts[None, :], size=(pending.size, p))
@@ -293,18 +311,14 @@ def sample_dataset(
             pending = pending[~good]
         return Dataset(game.strategy_counts, out)
 
-    if isinstance(noise, LocalNoise):
-        _validate_local(game, noise, psne)
-        idx = rng.integers(0, len(psne), size=n)
-        out = ne_rows[idx].copy()
-        for i in range(p):
-            keep = rng.random(n) < noise.q[i]
-            offset = rng.integers(1, counts[i], size=n)
-            corrupted = (out[:, i] + offset) % counts[i]
-            out[:, i] = np.where(keep, out[:, i], corrupted)
-        return Dataset(game.strategy_counts, out)
-
-    raise InvalidInputError(f"unknown noise model {noise!r}")
+    idx = rng.integers(0, len(psne), size=n)
+    out = ne_rows[idx].copy()
+    for i in range(p):
+        keep = rng.random(n) < noise.q[i]
+        offset = rng.integers(1, counts[i], size=n)
+        corrupted = (out[:, i] + offset) % counts[i]
+        out[:, i] = np.where(keep, out[:, i], corrupted)
+    return Dataset(game.strategy_counts, out)
 
 
 def sample_from_pmf(pmf: dict, strategy_counts, n: int, seed: int) -> Dataset:
@@ -342,12 +356,10 @@ def sample_profile_counts(
     """
     if n < 1:
         raise InvalidInputError(f"sample size must be at least 1, got {n}")
-    ensure_enumerable(game.strategy_counts, cap)
-    psne = _psne_or_enumerate(game, psne, cap)
-    table = pmf_table(game, noise, psne=psne, cap=cap)
-    profiles = np.asarray(list(table.keys()), dtype=np.int64)
-    pvals = np.asarray(list(table.values()))
+    pvals = _pmf_array(game, noise, psne, cap)
     rng = _rng(seed)
     draws = rng.multinomial(n, pvals / pvals.sum())
-    keep = draws > 0
-    return Dataset(game.strategy_counts, profiles[keep], draws[keep])
+    codes = np.flatnonzero(draws)
+    counts = np.asarray(game.strategy_counts, dtype=np.int64)
+    profiles = codes[:, None] // _radix(counts) % counts
+    return Dataset(game.strategy_counts, profiles, draws[codes])

@@ -58,6 +58,29 @@ def oracle_welfare(game, x, shift):
     )
 
 
+def oracle_local_pmf(game, q, equilibria, x):
+    """Local noise: average over equilibria of the per-player survive/corrupt product."""
+    total = 0.0
+    for y in equilibria:
+        prob = 1.0
+        for i, m in enumerate(game.strategy_counts):
+            prob *= q[i] if x[i] == y[i] else (1.0 - q[i]) / (m - 1)
+        total += prob
+    return total / len(equilibria)
+
+
+def oracle_global_pmf(game, q, equilibria, x):
+    """Global noise: mass q spread on the equilibria, the rest on the other profiles."""
+    n_all = 1
+    for m in game.strategy_counts:
+        n_all *= m
+    if x in equilibria:
+        return q / len(equilibria)
+    if q == 1.0:
+        return 0.0
+    return (1.0 - q) / (n_all - len(equilibria))
+
+
 def random_game_dense(rng, p, m_choices=(2, 3), edge_prob=0.5, scale=1.0):
     """Random game with mixed strategy counts and Bernoulli edges."""
     counts = tuple(int(rng.choice(m_choices)) for _ in range(p))

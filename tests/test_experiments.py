@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -19,15 +20,14 @@ from polymatrix import (
 from polymatrix.ensembles import HardEnsembleSpec, hard_game
 from polymatrix.experiments import (
     ExperimentSpec,
-    _max_payoff_gap,
     derive_seed,
     phase_transition_sweep,
     recovery_trial,
 )
-from polymatrix.games import GroupedVector, game_from_parameters
+from polymatrix.games import GroupedVector, PsneSet, check_separability, game_from_parameters
 from polymatrix.fileio import write_sweep_csv, write_trials_csv
 
-from helpers import random_game_dense
+from helpers import oracle_enumerate, oracle_payoff, random_game_dense
 
 
 def test_sample_count_reference_value():
@@ -143,8 +143,74 @@ def test_evaluate_random_perturbations_bounded():
                     for g in range(theta.layout.num_groups)
                 ),
             )
-        gap = _max_payoff_gap(game, perturbed)
+        other = game_from_parameters(perturbed, game.strategy_counts)
+        gap = evaluate_theorem1(game, other).payoff_discrepancy
         assert gap <= b + 1e-12
+
+
+def reference_theorem1(game, params, learned_game):
+    """Theorem 1 report rebuilt from loops, the oracle enumeration and check_separability."""
+    errors = []
+    for i, theta in enumerate(params):
+        diff = theta.values - pack_parameters(game, i).values
+        lay = theta.layout
+        errors.append(sum(np.linalg.norm(diff[lay.group_slice(g)]) for g in range(lay.num_groups)))
+    eps = 2.0 * max(errors)
+    gap = 0.0
+    for x in itertools.product(*(range(m) for m in game.strategy_counts)):
+        for i, theta in enumerate(params):
+            est = float(theta.values @ theta.layout.feature(x[i], x))
+            gap = max(gap, abs(est - oracle_payoff(game, i, x)))
+    ne_true = oracle_enumerate(game, 0.0)
+    ne_learned = oracle_enumerate(learned_game, 0.0)
+    learned_in = set(ne_learned) <= set(oracle_enumerate(game, eps))
+    true_in = set(ne_true) <= set(oracle_enumerate(learned_game, eps))
+    return {
+        "param_errors": tuple(errors),
+        "max_param_error": max(errors),
+        "payoff_discrepancy": gap,
+        "epsilon": eps,
+        "discrepancy_bounded": gap <= max(errors) + 1e-9,
+        "ne_true_size": len(ne_true),
+        "ne_learned_size": len(ne_learned),
+        "learned_in_eps_true": learned_in,
+        "true_in_eps_learned": true_in,
+        "containment_ok": learned_in and true_in,
+        "separable_at_epsilon": check_separability(game, eps),
+        "ne_equal": ne_true == ne_learned,
+    }
+
+
+def test_evaluate_matches_reference_for_models_and_games():
+    rng = np.random.default_rng(63)
+    seen = set()
+    for trial in range(12):
+        game = random_game_dense(rng, 3, m_choices=(2, 3))
+        if len(oracle_enumerate(game, 0.0)) == 0:
+            continue
+        if trial % 2:
+            noise = LocalNoise.uniform(3, 0.8)
+            data = sample_dataset(game, noise, 400, seed=trial)
+            learned = fit_game(data, LearnerConfig(lam=0.05, max_iterations=400))
+            params, learned_game = learned.params, learned.game
+        else:
+            params = [
+                GroupedVector(t.layout, t.values + rng.normal(0, 0.02 + trial / 20, t.layout.dim))
+                for t in (pack_parameters(game, i) for i in range(3))
+            ]
+            learned = learned_game = game_from_parameters(params, game.strategy_counts)
+        want = reference_theorem1(game, params, learned_game)
+        ne = PsneSet(oracle_enumerate(game, 0.0))
+        for ev in (evaluate_theorem1(game, learned), evaluate_theorem1(game, learned, ne_true=ne)):
+            got = {k: getattr(ev, k) for k in want}
+            # The reference sums each payoff in another order.
+            gap = got.pop("payoff_discrepancy")
+            assert gap == pytest.approx(want["payoff_discrepancy"], rel=1e-12, abs=1e-12)
+            assert got == {k: v for k, v in want.items() if k != "payoff_discrepancy"}
+        seen.add((type(learned).__name__, ev.ne_equal))
+    # Both input kinds, and both outcomes of the equilibrium comparison, were covered.
+    assert {kind for kind, _ in seen} == {"LearnedModel", "PolymatrixGame"}
+    assert {eq for _, eq in seen} == {True, False}
 
 
 def test_evaluate_containment_implication():

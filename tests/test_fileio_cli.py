@@ -263,6 +263,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err.startswith("error: numeric:")
 
 
+def test_cli_psne_rejects_negative_and_nan_epsilon(tmp_path, capsys):
+    game_path = tmp_path / "game.txt"
+    main(["generate", "--p", "3", "--d", "1", "--seed", "7", "--out", str(game_path)])
+    for eps in ("-1", "nan"):
+        out = tmp_path / f"ne{eps}.csv"
+        assert main(["psne", "--game", str(game_path), "--epsilon", eps, "--out", str(out)]) == 5
+        assert "epsilon must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_config_file_and_flag_override(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("p = 5\nd = 1\nseed = 9\n")

@@ -7,6 +7,7 @@ from polymatrix import (
     CapacityError,
     DegeneratePoaError,
     GroupLayout,
+    GroupedVector,
     InvalidInputError,
     PolymatrixGame,
     best_responses,
@@ -24,6 +25,7 @@ from polymatrix import (
     price_of_anarchy,
     unpack_parameters,
     welfare,
+    welfare_extremes,
 )
 from polymatrix.ensembles import HardEnsembleSpec, RandomGameSpec, hard_game, random_game
 
@@ -109,6 +111,14 @@ def test_featurize_pack_reproduces_payoffs_exhaustively():
             got = float(theta.values @ lay.feature(x[i], x))
             assert got == pytest.approx(want, abs=1e-12)
             assert linear_payoff(theta, x[i], x) == pytest.approx(want, abs=1e-12)
+
+
+def test_linear_payoff_rejects_out_of_range_context():
+    theta = GroupedVector(GroupLayout(0, (3, 3, 3)), np.arange(21.0))
+    assert linear_payoff(theta, 0, (0, 2, 0)) == 0.0 + 5.0 + 12.0
+    for x in [(0, 5, 0), (0, -1, 0), (0, 0, 3), (0, 0)]:
+        with pytest.raises(InvalidInputError):
+            linear_payoff(theta, 0, x)
 
 
 def test_pack_zero_groups_without_edges():
@@ -202,6 +212,17 @@ def test_is_eps_ne_rejects_negative_epsilon():
         is_eps_ne(game, (0, 0), -0.1)
 
 
+def test_every_epsilon_check_rejects_negative_and_nan():
+    game = zero_game((2, 2))
+    for eps in (-0.1, float("nan")):
+        with pytest.raises(InvalidInputError):
+            is_eps_ne(game, (0, 0), eps)
+        with pytest.raises(InvalidInputError):
+            enumerate_eps_ne(game, eps)
+        with pytest.raises(InvalidInputError):
+            check_separability(game, eps)
+
+
 def test_enumerate_zero_game_total_tie():
     result = enumerate_psne(zero_game((2, 2)))
     assert result.profiles == ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -262,6 +283,16 @@ def test_poa_matches_exhaustive_oracle():
         }
         want = max(welfares.values()) / min(welfares[x] for x in ne)
         assert price_of_anarchy(game, ne) == pytest.approx(want, abs=1e-9)
+
+
+def test_poa_exactly_one_when_best_profile_is_worst_equilibrium():
+    # Max welfare and equilibrium welfare once came from two summation orders,
+    # which put this game's price of anarchy one ulp below 1.
+    game = random_game(RandomGameSpec(p=4, d=1, m=3, seed=38))
+    ne = enumerate_psne(game)
+    assert price_of_anarchy(game, ne) == 1.0
+    best, worst_eq = welfare_extremes(game, ne)
+    assert best == worst_eq == welfare(game, ne.profiles[0])
 
 
 def test_poa_degenerate_division():

@@ -22,7 +22,7 @@ from polymatrix import (
 )
 from polymatrix.ensembles import HardEnsembleSpec, RandomGameSpec, hard_game, random_game
 
-from helpers import random_game_dense
+from helpers import oracle_enumerate, oracle_global_pmf, oracle_local_pmf, random_game_dense
 
 
 def single_ne_game():
@@ -102,6 +102,35 @@ def test_local_pmf_sums_to_one_on_random_games():
         noise = LocalNoise.uniform(3, 0.7)
         table = pmf_table(game, noise, psne=ne)
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+        checked += 1
+
+
+def test_pmf_tables_equal_loop_oracles_exactly():
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 12:
+        game = random_game_dense(rng, int(rng.integers(2, 5)), m_choices=(2, 3, 4))
+        ne = oracle_enumerate(game, 0.0)
+        if len(ne) < 2:
+            continue
+        p = game.num_players
+        profiles = list(itertools.product(*(range(m) for m in game.strategy_counts)))
+        local_q = tuple(float(v) for v in rng.uniform(0.55, 1.0, size=p))
+        global_q = float(rng.uniform(0.5, 1.0))
+        for noise, oracle in (
+            (LocalNoise(local_q), lambda x: oracle_local_pmf(game, local_q, ne, x)),
+            (GlobalNoise(global_q), lambda x: oracle_global_pmf(game, global_q, ne, x)),
+        ):
+            table = pmf_table(game, noise)
+            assert list(table) == profiles
+            assert list(table.values()) == [oracle(x) for x in profiles]
+        for x in profiles[:: max(1, len(profiles) // 5)]:
+            assert local_noise_pmf(game, LocalNoise(local_q), x) == oracle_local_pmf(
+                game, local_q, ne, x
+            )
+            assert global_noise_pmf(game, GlobalNoise(global_q), x) == oracle_global_pmf(
+                game, global_q, ne, x
+            )
         checked += 1
 
 
