@@ -182,6 +182,7 @@ def _list_key(key: str, command: str) -> bool:
 
 
 def _load_config_file(path: str) -> dict:
+    """Map each key to its value and line number."""
     out = {}
     for lineno, raw in enumerate(fileio.load_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -190,7 +191,7 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ParseError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
+        out[key.replace("-", "_")] = (value, lineno)
     return out
 
 
@@ -218,10 +219,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     command = args.command
     merged = dict(_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
-        file_conf = _load_config_file(args.config)
-        for key, value in file_conf.items():
-            if key in merged or key in ("seed", "out", "epsilon", "details", "timeout"):
-                merged[key] = _coerce(key, value, command) if isinstance(value, str) else value
+        known = set(vars(args)) - {"command", "config"}
+        for key, (value, lineno) in _load_config_file(args.config).items():
+            if key not in known:
+                raise ParseError(
+                    f"config line {lineno}: unknown key {key!r} for {command} "
+                    f"(known keys: {', '.join(sorted(known))})"
+                )
+            merged[key] = _coerce(key, value, command)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue

@@ -101,8 +101,21 @@ class ExperimentSpec:
             for p in self.p_values:
                 if d >= p:
                     raise InvalidInputError(f"degree {d} infeasible for p={p}")
-        if self.lambda_mode != "theory" and not isinstance(self.lambda_mode, (int, float)):
-            raise InvalidInputError("lambda_mode is 'theory' or a number")
+        if not 0.0 < self.q <= 1.0:
+            raise InvalidInputError(f"q must lie in (0, 1], got {self.q}")
+        if not all(math.isfinite(c) for c in self.c_grid):
+            raise InvalidInputError(f"c_grid values must be finite, got {self.c_grid}")
+        if self.trial_timeout is not None and not 0 < self.trial_timeout < math.inf:
+            raise InvalidInputError(
+                f"trial_timeout must be finite and positive, got {self.trial_timeout}"
+            )
+        if self.lambda_mode != "theory":
+            if not isinstance(self.lambda_mode, (int, float)):
+                raise InvalidInputError("lambda_mode is 'theory' or a number")
+            if not 0 <= self.lambda_mode < math.inf:
+                raise InvalidInputError(
+                    f"lambda_mode must be finite and nonnegative, got {self.lambda_mode}"
+                )
 
 
 @dataclass(frozen=True)

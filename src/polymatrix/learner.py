@@ -9,6 +9,9 @@ The solver is an accelerated proximal gradient method with backtracking
 line search and an objective-based adaptive restart that keeps accepted
 iterates non-increasing. Everything here is deterministic given its
 inputs; fitting different players is independent and safe to parallelize.
+
+A dataset is encoded once for all players (distinct rows, weights, one-hot
+design matrix ``X``): each loss is one product ``W X^T``, each gradient one more.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError, ScheduleInfeasibleError
-from .games import GroupLayout, GroupedVector, PolymatrixGame, validate_profile
+from .games import GroupLayout, GroupedVector, PolymatrixGame, unpack_parameters, validate_profile
 from .games import _strategy_payoffs, _vector_terms
 from .observation import Dataset
 
@@ -47,18 +50,19 @@ class LearnerConfig:
     exempt_intercept: bool = False
 
     def __post_init__(self):
-        if self.lam is not None and self.lam < 0:
-            raise InvalidInputError(f"lambda must be nonnegative, got {self.lam}")
-        if self.nu < 0:
-            raise InvalidInputError(f"nu must be nonnegative, got {self.nu}")
+        # Written so that NaN fails every test; an infinite edge threshold drops all edges.
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise InvalidInputError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if not 0 <= self.nu < math.inf:
+            raise InvalidInputError(f"nu must be finite and nonnegative, got {self.nu}")
         if not 0 < self.delta < 1:
             raise InvalidInputError(f"delta must lie in (0, 1), got {self.delta}")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
-        if self.tolerance <= 0:
-            raise InvalidInputError(f"tolerance must be positive, got {self.tolerance}")
-        if self.edge_threshold < 0:
-            raise InvalidInputError("edge_threshold must be nonnegative")
+        if not 0 < self.tolerance < math.inf:
+            raise InvalidInputError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if not self.edge_threshold >= 0:
+            raise InvalidInputError(f"edge_threshold must be nonnegative, got {self.edge_threshold}")
         if self.step_rule not in ("backtracking", "fixed"):
             raise InvalidInputError(f"unknown step rule {self.step_rule!r}")
 
@@ -92,68 +96,100 @@ class LearnedModel:
 # ---------------------------------------------------------------------------
 
 
-class _PlayerData:
-    """Dataset encoded for one player: unique rows, weights, per-group gathers."""
+class _Design:
+    """A dataset encoded once, for every player.
 
-    def __init__(self, data: Dataset, layout: GroupLayout):
-        if data.strategy_counts != layout.counts:
-            raise InvalidInputError("dataset and layout disagree on strategy counts")
-        rows, inverse = np.unique(data.profiles, axis=0, return_inverse=True)
-        w = np.bincount(inverse.ravel(), weights=data.weights.astype(np.float64))
-        self.layout = layout
+    ``rows`` are the distinct profiles and ``weights / total`` their shares
+    of the data; ``x`` is the read-only design matrix
+    ``[1 | onehot(x_0) | ... | onehot(x_{p-1})]``, one row per distinct
+    profile, with player ``j``'s block starting at column ``starts[j]``.
+    """
+
+    def __init__(self, strategy_counts, rows: np.ndarray, weights: np.ndarray, total: float):
+        self.strategy_counts = strategy_counts
         self.rows = rows
-        self.weights = w
-        self.total = float(w.sum())
-        self.xi = rows[:, layout.player]
-        self.k = rows.shape[0]
-        self.onehots = []
-        for j in layout.others:
-            mj = layout.counts[j]
-            oh = np.zeros((self.k, mj))
-            oh[np.arange(self.k), rows[:, j]] = 1.0
-            self.onehots.append(oh)
+        self.weights = weights
+        self.total = total
+        counts = np.asarray(strategy_counts)
+        self.starts = 1 + np.concatenate([[0], np.cumsum(counts)[:-1]])
+        # Column-major: both products then run several times faster.
+        x = np.zeros((len(rows), 1 + int(counts.sum())), order="F")
+        x[:, 0] = 1.0
+        x[np.arange(len(rows))[:, None], self.starts + rows] = 1.0
+        x.setflags(write=False)
+        self.x = x
 
-    def logits(self, theta: np.ndarray) -> np.ndarray:
-        lay = self.layout
-        mi = lay.counts[lay.player]
-        out = np.repeat(theta[:mi, None], self.k, axis=1)
-        for g, j in enumerate(lay.others, start=1):
-            mat = theta[lay.group_slice(g)].reshape(mi, lay.counts[j])
-            out += mat[:, self.rows[:, j]]
-        return out
 
-    def loss(self, theta: np.ndarray) -> float:
-        logits = self.logits(theta)
-        mx = logits.max(axis=0)
-        lse = mx + np.log(np.exp(logits - mx).sum(axis=0))
-        own = logits[self.xi, np.arange(self.k)]
-        return float(np.dot(self.weights, lse - own) / self.total)
+def _encode(data: Dataset) -> _Design:
+    """Deduplicate the rows once, in lexicographic order, and build the design."""
+    order = np.lexsort(data.profiles.T[::-1])
+    ordered = data.profiles[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    w = np.bincount(np.cumsum(first) - 1, weights=data.weights[order].astype(np.float64))
+    return _Design(data.strategy_counts, ordered[first], w, float(w.sum()))
 
-    def loss_grad(self, theta: np.ndarray):
-        lay = self.layout
-        logits = self.logits(theta)
+
+class _PlayerData:
+    """One player's view of a shared :class:`_Design`.
+
+    The parameters act as an ``m_i x D`` matrix ``W`` over the design
+    columns, with the own block held at 0, so the logits are ``W X^T`` and
+    the loss gradient is ``Delta X``. ``index`` maps the layout order into
+    ``W.ravel()``.
+    """
+
+    def __init__(self, data, layout: GroupLayout):
+        design = data if isinstance(data, _Design) else _encode(data)
+        if design.strategy_counts != layout.counts:
+            raise InvalidInputError("dataset and layout disagree on strategy counts")
+        self.design = design
+        mi, width = self.shape = (layout.counts[layout.player], design.x.shape[1])
+        cols = [[0]] + [design.starts[j] + np.arange(layout.counts[j]) for j in layout.others]
+        self.index = np.concatenate([(np.arange(mi)[:, None] * width + c).ravel() for c in cols])
+        k = design.rows.shape[0]
+        # Flat position of each row's own-strategy entry in an m_i x k array.
+        self.own = design.rows[:, layout.player] * k + np.arange(k)
+
+    def _softmax(self, theta: np.ndarray):
+        """The loss, and the shifted exponentials with their column sums."""
+        w = np.zeros(self.shape[0] * self.shape[1])
+        w[self.index] = theta
+        logits = w.reshape(self.shape) @ self.design.x.T
         mx = logits.max(axis=0)
         ex = np.exp(logits - mx)
         denom = ex.sum(axis=0)
         lse = mx + np.log(denom)
-        own = logits[self.xi, np.arange(self.k)]
-        loss = float(np.dot(self.weights, lse - own) / self.total)
+        loss = float(np.dot(self.design.weights, lse - logits.take(self.own)) / self.design.total)
+        return loss, ex, denom
 
+    def loss(self, theta: np.ndarray) -> float:
+        return self._softmax(theta)[0]
+
+    def loss_grad(self, theta: np.ndarray):
+        loss, ex, denom = self._softmax(theta)
         delta = ex / denom
-        delta[self.xi, np.arange(self.k)] -= 1.0
-        delta *= self.weights / self.total
-        grad = np.empty(lay.dim)
-        grad[lay.group_slice(0)] = delta.sum(axis=1)
-        for g in range(1, lay.num_groups):
-            grad[lay.group_slice(g)] = (delta @ self.onehots[g - 1]).ravel()
-        return loss, grad
+        delta.reshape(-1)[self.own] -= 1.0
+        delta *= self.design.weights / self.design.total
+        return loss, (delta @ self.design.x).ravel()[self.index]
 
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        """Weighted mean of the per-row loss Hessians, in layout order.
 
-def _sigma_vector(theta: GroupedVector, x) -> np.ndarray:
-    logits = _strategy_payoffs(*_vector_terms(theta), np.array([x]))[0]
-    logits -= logits.max()
-    ex = np.exp(logits)
-    return ex / ex.sum()
+        Block ``(a, b)`` of the ``W``-space Hessian is ``X^T diag(s) X`` with
+        ``s = w * sigma_a * ([a == b] - sigma_b)``.
+        """
+        _, ex, denom = self._softmax(theta)
+        sigma = ex / denom
+        x = self.design.x
+        w = self.design.weights / self.design.total
+        mi, width = self.shape
+        out = np.empty((mi, width, mi, width))
+        for a in range(mi):
+            for b in range(mi):
+                s = sigma[a] * (float(a == b) - sigma[b]) * w
+                out[a, :, b, :] = (x.T * s) @ x
+        return out.reshape(mi * width, mi * width)[np.ix_(self.index, self.index)]
 
 
 def softmax_sigma(theta: GroupedVector, x, a: int) -> float:
@@ -162,7 +198,10 @@ def softmax_sigma(theta: GroupedVector, x, a: int) -> float:
     mi = theta.layout.counts[theta.layout.player]
     if not 0 <= a < mi:
         raise InvalidInputError(f"strategy {a} out of range")
-    return float(_sigma_vector(theta, x)[a])
+    logits = _strategy_payoffs(*_vector_terms(theta), np.array([x]))[0]
+    logits -= logits.max()
+    ex = np.exp(logits)
+    return float(ex[a] / ex.sum())
 
 
 def sample_loss(theta: GroupedVector, x) -> float:
@@ -185,49 +224,26 @@ def gradient(theta: GroupedVector, data: Dataset) -> GroupedVector:
     return GroupedVector(theta.layout, g)
 
 
-def _feature_rows(layout: GroupLayout, x) -> np.ndarray:
-    """Stack the feature vectors of every own strategy in the context ``x``."""
-    mi = layout.counts[layout.player]
-    return np.stack([layout.feature(a, x) for a in range(mi)])
-
-
-def _hessian_at(layout: GroupLayout, theta: GroupedVector, x) -> np.ndarray:
-    f = _feature_rows(layout, x)
-    sig = _sigma_vector(theta, x)
-    centered = f - sig @ f
-    return (centered * sig[:, None]).T @ centered
-
-
 def hessian(
     theta: GroupedVector, data: Dataset, dim_cap: int = DEFAULT_HESSIAN_DIM_CAP
 ) -> np.ndarray:
     """Weighted mean of per-sample loss Hessians (dense, for diagnostics)."""
-    lay = theta.layout
-    if lay.dim > dim_cap:
-        raise InvalidInputError(
-            f"Hessian dimension {lay.dim} exceeds the cap of {dim_cap}"
-        )
-    enc = _PlayerData(data, lay)
-    out = np.zeros((lay.dim, lay.dim))
-    for row, w in zip(enc.rows, enc.weights):
-        out += w * _hessian_at(lay, theta, row)
-    return out / enc.total
+    if theta.layout.dim > dim_cap:
+        raise InvalidInputError(f"Hessian dimension {theta.layout.dim} exceeds the cap of {dim_cap}")
+    return _PlayerData(data, theta.layout).hessian(theta.values)
 
 
 def population_hessian(
     theta: GroupedVector, pmf: dict, dim_cap: int = DEFAULT_HESSIAN_DIM_CAP
 ) -> np.ndarray:
     """Exact expectation of the loss Hessian under a profile distribution."""
-    lay = theta.layout
-    if lay.dim > dim_cap:
-        raise InvalidInputError(
-            f"Hessian dimension {lay.dim} exceeds the cap of {dim_cap}"
-        )
-    out = np.zeros((lay.dim, lay.dim))
-    for x, prob in pmf.items():
-        if prob:
-            out += prob * _hessian_at(lay, theta, x)
-    return out
+    if theta.layout.dim > dim_cap:
+        raise InvalidInputError(f"Hessian dimension {theta.layout.dim} exceeds the cap of {dim_cap}")
+    counts = theta.layout.counts
+    rows = np.array([validate_profile(counts, x) for x in pmf], dtype=np.int64)
+    probs = np.fromiter(pmf.values(), dtype=np.float64, count=len(pmf))
+    design = _Design(counts, rows.reshape(-1, len(counts)), probs, 1.0)
+    return _PlayerData(design, theta.layout).hessian(theta.values)
 
 
 def _invariance_basis(layout: GroupLayout, groups) -> np.ndarray:
@@ -318,36 +334,32 @@ def diagnostics_min_eigen(
 # ---------------------------------------------------------------------------
 
 
+def _group_norms(values: np.ndarray, layout: GroupLayout) -> np.ndarray:
+    """2-norm of every group of ``values``: one reduceat over the group offsets."""
+    return np.sqrt(np.add.reduceat(values * values, layout.offsets[:-1]))
+
+
 def _prox_flat(values: np.ndarray, layout: GroupLayout, tlam: float, skip0: bool) -> np.ndarray:
-    out = values.copy()
-    start = 1 if skip0 else 0
-    for g in range(start, layout.num_groups):
-        sl = layout.group_slice(g)
-        norm = np.linalg.norm(out[sl])
-        if norm <= tlam:
-            out[sl] = 0.0
-        else:
-            out[sl] *= 1.0 - tlam / norm
-    return out
+    norms = _group_norms(values, layout)
+    keep = norms > tlam
+    shrink = np.zeros_like(norms)
+    shrink[keep] = 1.0 - tlam / norms[keep]
+    if skip0:
+        keep[0], shrink[0] = True, 1.0
+    sizes = layout.sizes
+    # Dropped groups become +0.0; multiplying by a zero factor could leave -0.0.
+    return np.where(np.repeat(keep, sizes), values * np.repeat(shrink, sizes), 0.0)
 
 
 def group_prox(v: GroupedVector, tlam: float, exempt_intercept: bool = False) -> GroupedVector:
     """Groupwise shrinkage: each group scales toward zero and snaps to exact zero."""
-    if tlam < 0:
+    if not tlam >= 0:
         raise InvalidInputError(f"prox threshold must be nonnegative, got {tlam}")
-    return GroupedVector(
-        v.layout, _prox_flat(np.array(v.values), v.layout, tlam, exempt_intercept)
-    )
+    return GroupedVector(v.layout, _prox_flat(v.values, v.layout, tlam, exempt_intercept))
 
 
 def _penalty(values: np.ndarray, layout: GroupLayout, skip0: bool) -> float:
-    start = 1 if skip0 else 0
-    return float(
-        sum(
-            np.linalg.norm(values[layout.group_slice(g)])
-            for g in range(start, layout.num_groups)
-        )
-    )
+    return float(_group_norms(values, layout)[1 if skip0 else 0:].sum())
 
 
 def gradient_lipschitz_bound(num_groups: int) -> float:
@@ -376,7 +388,7 @@ def fit_player(
     proximal step from the incumbent is taken instead, so accepted iterates
     never increase the objective. Stops when the proximal-gradient mapping
     norm falls below the tolerance; otherwise returns with ``converged``
-    False after ``max_iterations``.
+    False after ``max_iterations``. ``data`` may be :func:`fit_game`'s shared encoding.
     """
     if config.lam is None:
         raise InvalidInputError("config.lam must be resolved before fitting")
@@ -449,30 +461,23 @@ def fit_game(data: Dataset, config: LearnerConfig, threads: int = 1) -> LearnedM
     rebuilt game keeps exactly those matrices.
     """
     p = data.num_players
+    design = _encode(data)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: fit_player(data, i, config), range(p)))
+            results = list(pool.map(lambda i: fit_player(design, i, config), range(p)))
     else:
-        results = [fit_player(data, i, config) for i in range(p)]
+        results = [fit_player(design, i, config) for i in range(p)]
 
-    params = []
-    edges = set()
     individual = []
     pairs = {}
     diags = []
-    for i, res in enumerate(results):
-        theta = res.params
-        lay = theta.layout
-        norms = theta.group_norms()
+    for res in results:
+        norms = res.params.group_norms()
         maxn = float(norms.max())
         tau = config.edge_threshold * maxn if maxn > 0 else 0.0
-        individual.append(theta.group(0).copy())
-        for g in range(1, lay.num_groups):
-            if norms[g] > tau:
-                j = lay.group_player(g)
-                edges.add((i, j))
-                pairs[(i, j)] = lay.matrix_view(theta.values, g).copy()
-        params.append(theta)
+        ind, kept = unpack_parameters(res.params, tau)
+        individual.append(ind)
+        pairs.update(kept)
         diags.append(
             FitDiagnostics(
                 objective=res.objective,
@@ -482,12 +487,11 @@ def fit_game(data: Dataset, config: LearnerConfig, threads: int = 1) -> LearnedM
                 group_norms=tuple(float(v) for v in norms),
             )
         )
-    game = PolymatrixGame(data.strategy_counts, individual, pairs)
     return LearnedModel(
         strategy_counts=data.strategy_counts,
-        params=tuple(params),
-        edges=frozenset(edges),
-        game=game,
+        params=tuple(res.params for res in results),
+        edges=frozenset(pairs),
+        game=PolymatrixGame(data.strategy_counts, individual, pairs),
         diagnostics=tuple(diags),
         config=config,
     )

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from polymatrix import PolymatrixGame
+from polymatrix import PolymatrixGame, sample_loss, softmax_sigma
 
 
 def oracle_payoff(game, i, x):
@@ -135,3 +135,27 @@ def relabel_strategies(game, k, sigma):
             mat = mat[:, inv]
         pairs[(i, j)] = mat
     return PolymatrixGame(counts, individual, pairs)
+
+
+def oracle_empirical_loss(theta, data):
+    """Weighted mean of ``sample_loss``, one dataset row at a time.
+
+    The per-sample functions share no code with the encoded-dataset path
+    that ``empirical_loss`` and ``gradient`` take.
+    """
+    total = 0.0
+    for x, w in zip(data.profiles, data.weights):
+        total += int(w) * sample_loss(theta, tuple(int(v) for v in x))
+    return total / data.n
+
+
+def oracle_gradient(theta, data):
+    """Weighted mean of the per-row gradients sum_a (sigma_a - [a == x_i]) feature(a, x)."""
+    lay = theta.layout
+    grad = np.zeros(lay.dim)
+    for x, w in zip(data.profiles, data.weights):
+        x = tuple(int(v) for v in x)
+        for a in range(lay.counts[lay.player]):
+            coef = softmax_sigma(theta, x, a) - (a == x[lay.player])
+            grad += int(w) * coef * lay.feature(a, x)
+    return grad / data.n

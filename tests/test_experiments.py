@@ -116,6 +116,20 @@ def test_sweep_rejects_infeasible_degree():
         default_spec(p_values=(3,), d_values=(3,))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("q", math.nan), ("q", math.inf), ("q", 0.0),
+        ("c_grid", (0.0, math.nan)), ("c_grid", (math.inf,)),
+        ("trial_timeout", math.nan), ("trial_timeout", math.inf), ("trial_timeout", -1.0),
+        ("lambda_mode", math.nan), ("lambda_mode", math.inf), ("lambda_mode", -0.5),
+    ],
+)
+def test_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        default_spec(**{field: value})
+
+
 def test_evaluate_identity_game():
     rng = np.random.default_rng(60)
     game = random_game_dense(rng, 3)

@@ -273,6 +273,52 @@ def test_cli_psne_rejects_negative_and_nan_epsilon(tmp_path, capsys):
         assert not out.exists()
 
 
+def _sample_file(tmp_path):
+    game_path = tmp_path / "game.txt"
+    data_path = tmp_path / "data.csv"
+    main(["generate", "--p", "3", "--d", "1", "--seed", "7", "--out", str(game_path)])
+    main(["sample", "--game", str(game_path), "--n", "100", "--out", str(data_path)])
+    return data_path
+
+
+def test_cli_learn_rejects_nan_before_fitting(tmp_path, capsys, monkeypatch):
+    import polymatrix.cli as cli
+
+    data_path = _sample_file(tmp_path)
+    monkeypatch.setattr(cli, "fit_game", lambda *a, **k: pytest.fail("fit_game was called"))
+    for flag in ("--tol", "--lambda", "--nu", "--edge-threshold"):
+        out = tmp_path / "model.txt"
+        argv = ["learn", "--data", str(data_path), "--d", "1", flag, "nan", "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric:") and "got nan" in err
+        assert not out.exists()
+
+
+def test_cli_experiment_rejects_nan(tmp_path, capsys):
+    for flag in ("--q", "--timeout", "--lambda", "--c-grid"):
+        out = tmp_path / "sweep.csv"
+        argv = ["experiment", "--p", "5", "--d", "1", "--trials", "1", flag, "nan", "--out", str(out)]
+        assert main(argv) == 5
+        assert "nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_config_unknown_key_is_a_parse_error(tmp_path, capsys):
+    data_path = _sample_file(tmp_path)
+    conf = tmp_path / "run.conf"
+    out = tmp_path / "model.txt"
+    # A misspelling, and a key of another subcommand that learn would ignore.
+    for text, key, line in (("# penalty\nd = 1\nlamda = 0.1\n", "lamda", 3),
+                            ("epsilon = 0.5\n", "epsilon", 1)):
+        conf.write_text(text)
+        argv = ["learn", "--data", str(data_path), "--d", "1", "--config", str(conf)]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and f"'{key}'" in err and f"line {line}" in err
+        assert not out.exists()
+
+
 def test_cli_config_file_and_flag_override(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("p = 5\nd = 1\nseed = 9\n")

@@ -9,6 +9,7 @@ from polymatrix import (
     GlobalNoise,
     GroupLayout,
     GroupedVector,
+    InvalidInputError,
     LearnerConfig,
     LocalNoise,
     ScheduleInfeasibleError,
@@ -33,7 +34,7 @@ from polymatrix.ensembles import RandomGameSpec, random_game
 from polymatrix.learner import _PlayerData, _prox_flat, support_groups
 from polymatrix.fileio import write_learned_model
 
-from helpers import finite_diff_gradient
+from helpers import finite_diff_gradient, oracle_empirical_loss, oracle_gradient
 
 
 def random_theta(rng, i, counts, scale=1.0):
@@ -168,6 +169,21 @@ def test_single_sample_gradient_group_norm_bound():
         assert g.norm_inf2() <= math.sqrt(2.0) + 1e-12
 
 
+def test_loss_and_gradient_match_per_sample_oracle_on_weighted_data():
+    rng = np.random.default_rng(58)
+    for trial in range(12):
+        counts = tuple(int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 5))))
+        distinct = random_data(rng, counts, 6).profiles
+        rows = distinct[rng.integers(0, len(distinct), size=25)]
+        weights = rng.integers(1, 6, size=len(rows)) if trial % 2 else None
+        data = Dataset(counts, rows, weights)
+        theta = random_theta(rng, trial % len(counts), counts, scale=1.5)
+        want = oracle_empirical_loss(theta, data)
+        assert abs(empirical_loss(theta, data) - want) <= 1e-12 * abs(want)
+        want = oracle_gradient(theta, data)
+        assert np.abs(gradient(theta, data).values - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_hessian_hand_value_single_player():
     lay = GroupLayout(0, (2,))
     theta = GroupedVector(lay, np.zeros(2))
@@ -253,6 +269,18 @@ def test_prox_fixed_point_and_shrinkage():
     vals = np.array([0.3, 0.4, 0.0, 0.0, 0.0, 0.0])
     out = group_prox(GroupedVector(lay, vals), 0.5)
     assert not out.values.any()  # group norm 0.5 <= threshold
+
+
+def test_prox_drops_to_positive_zero_and_rejects_bad_thresholds():
+    lay = GroupLayout(0, (2, 2))
+    vals = np.array([-0.3, -0.4, -0.1, 0.0, -0.2, 0.0])
+    out = group_prox(GroupedVector(lay, vals), 0.6)
+    assert not out.values.any() and not np.signbit(out.values).any()
+    kept = group_prox(GroupedVector(lay, vals), 0.6, exempt_intercept=True)
+    assert np.array_equal(kept.values, [-0.3, -0.4, 0.0, 0.0, 0.0, 0.0])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(InvalidInputError, match=str(bad)):
+            group_prox(GroupedVector(lay, vals), bad)
 
 
 def test_prox_hand_value():
@@ -450,6 +478,50 @@ def test_fit_game_deterministic_bytes():
     b = write_learned_model(fit_game(data, config))
     c = write_learned_model(fit_game(data, config, threads=3))
     assert a == b == c
+
+
+def test_weighted_dataset_fits_like_its_expansion():
+    game = nonempty_random_game(905)
+    plain = sample_dataset(game, LocalNoise.uniform(3, 0.8), 300, seed=5)
+    rows, counts = np.unique(plain.profiles, axis=0, return_counts=True)
+    weighted = Dataset(plain.strategy_counts, rows, counts)
+    expanded = np.repeat(rows, counts, axis=0)
+    order = np.random.default_rng(6).permutation(len(expanded))
+    shuffled = Dataset(plain.strategy_counts, expanded[order])
+    config = LearnerConfig().resolved(0.05)
+    want = write_learned_model(fit_game(weighted, config))
+    assert write_learned_model(fit_game(shuffled, config)) == want
+
+
+def test_fit_player_matches_fit_game_bit_for_bit():
+    game = nonempty_random_game(906)
+    rng = np.random.default_rng(7)
+    data = sample_dataset(game, LocalNoise.uniform(3, 0.7), 200, seed=6)
+    data = Dataset(data.strategy_counts, data.profiles, rng.integers(1, 4, size=len(data.profiles)))
+    config = LearnerConfig().resolved(0.03)
+    model = fit_game(data, config)
+    for i in range(3):
+        assert np.array_equal(fit_player(data, i, config).params.values, model.params[i].values)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lam", math.nan), ("lam", math.inf), ("lam", -1.0),
+        ("nu", math.nan), ("nu", math.inf),
+        ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", 0.0),
+        ("edge_threshold", math.nan), ("edge_threshold", -1.0),
+    ],
+)
+def test_learner_config_rejects_non_finite_and_negative_values(field, value):
+    with pytest.raises(InvalidInputError, match=str(value)):
+        LearnerConfig(**{field: value})
+
+
+def test_learner_config_rejects_nan_resolved_lambda_and_allows_infinite_threshold():
+    with pytest.raises(InvalidInputError, match="nan"):
+        LearnerConfig().resolved(float("nan"))
+    assert LearnerConfig(edge_threshold=math.inf).edge_threshold == math.inf
 
 
 # ---------------------------------------------------------------------------
