@@ -19,10 +19,10 @@ import sys
 from . import __version__
 from .errors import CapacityError, ParseError, PolymatrixError
 from .games import (
+    _poa_ratio,
     enumerate_eps_ne,
     enumerate_psne,
     payoff_shift,
-    price_of_anarchy,
     welfare_extremes,
 )
 from .learner import LearnerConfig, fit_game, lambda_schedule
@@ -361,8 +361,8 @@ def _cmd_compare(conf) -> int:
 def _cmd_poa(conf) -> int:
     game = fileio.read_game(fileio.load_text(conf["game"]))
     ne = enumerate_psne(game)
-    ratio = price_of_anarchy(game, ne)
     best, worst_eq = welfare_extremes(game, ne)
+    ratio = _poa_ratio(best, worst_eq)
     header = fileio.artifact_header("poa", _config_echo(conf))
     text = (
         header

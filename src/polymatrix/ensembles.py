@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -37,8 +37,10 @@ class RandomGameSpec:
             )
         if self.m < 2:
             raise InvalidInputError(f"need at least 2 strategies, got {self.m}")
-        if self.payoff_std <= 0:
-            raise InvalidInputError("payoff_std must be positive")
+        if not 0 < self.payoff_std < inf:
+            raise InvalidInputError(
+                f"payoff_std must be finite and positive, got {self.payoff_std}"
+            )
 
 
 @dataclass(frozen=True)

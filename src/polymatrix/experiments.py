@@ -8,7 +8,9 @@ seeds from the base seed and trial index, so they can run in any order
 
 ``evaluate_theorem1`` compares a learned model against the game the data
 came from: parameter error per player, worst payoff discrepancy, and the
-equilibrium containments those errors imply.
+equilibrium containments those errors imply. The worst discrepancy needs no
+scan: it is maximised per in-neighbour in closed form, so the one pass over
+the profile space only finds the PSNE sets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .games import (
     PolymatrixGame,
     PsneSet,
     _eps_ne_mask,
-    _game_terms,
     _profile_blocks,
     _psne_rows,
     _separable,
@@ -321,6 +322,26 @@ def _as_params(true_game: PolymatrixGame, learned) -> tuple:
     raise InvalidInputError("learned must be a LearnedModel or a PolymatrixGame")
 
 
+def _max_abs_payoff(diff: GroupedVector) -> float:
+    """Largest ``|payoff|`` of the grouped vector ``diff`` over the whole profile space.
+
+    Each other player's strategy enters one term of the sum independently, so
+    for own strategy ``a`` the extremes take, in every pair group, the column
+    with the largest (or smallest) entry of row ``a``. Evaluating those
+    ``2 m_i`` profiles with the payoff kernel gives the exact maximum.
+    """
+    base, terms = _vector_terms(diff)
+    m = len(base)
+    own = np.tile(np.arange(m), 2)
+    rows = np.empty((2 * m, len(diff.layout.counts)), dtype=np.int64)
+    rows[:, diff.owner] = own
+    for j, mat in terms:
+        rows[:m, j] = mat.argmax(axis=1)
+        rows[m:, j] = mat.argmin(axis=1)
+    vals = _strategy_payoffs(base, terms, rows)
+    return float(np.abs(vals[np.arange(2 * m), own]).max())
+
+
 def evaluate_theorem1(
     true_game: PolymatrixGame,
     learned,
@@ -335,29 +356,31 @@ def evaluate_theorem1(
     at twice the worst parameter error. When the true game separates
     equilibria from deviations by more than that slack, the equilibrium
     sets must coincide.
+
+    The discrepancy of player ``i`` is a sum of one term per other player,
+    each depending on that player's strategy alone, so its extremes are
+    found per in-neighbour from ``2 m_i`` profiles (``_max_abs_payoff``).
+    The pass over the profile space only finds the PSNE sets: the learned
+    one, and the true one unless ``ne_true`` is given.
     """
     params, learned_game = _as_params(true_game, learned)
-    diffs = (
+    diffs = [
         GroupedVector(est.layout, est.values - pack_parameters(true_game, i).values)
         for i, est in enumerate(params)
-    )
+    ]
     errors = tuple(float(sum(d.group_norms().tolist())) for d in diffs)
     max_err = max(errors)
     epsilon = 2.0 * max_err
+    discrepancy = max(_max_abs_payoff(diff) for diff in diffs)
 
-    # One pass over the profile space: both exact PSNE sets and the worst payoff gap.
+    # The only pass over the profile space finds the exact PSNE sets.
     counts = true_game.strategy_counts
     ensure_enumerable(counts, cap)
     found_true, found_learned = [], []
-    discrepancy = 0.0
     for block in _profile_blocks(counts):
         if ne_true is None:
             found_true.append(block[_eps_ne_mask(true_game, block, 0.0)])
         found_learned.append(block[_eps_ne_mask(learned_game, block, 0.0)])
-        for i, theta in enumerate(params):
-            est = _strategy_payoffs(*_vector_terms(theta), block)
-            tru = _strategy_payoffs(*_game_terms(true_game, i), block)
-            discrepancy = max(discrepancy, float(np.abs(est - tru).max()))
     true_rows = np.concatenate(found_true) if ne_true is None else _psne_rows(ne_true, len(counts))
     learned_rows = np.concatenate(found_learned)
 

@@ -80,13 +80,41 @@ def _radix(strategy_counts) -> np.ndarray:
 
 
 def _profile_blocks(strategy_counts, chunk: int = _CHUNK):
-    """Yield ``(B, p)`` int arrays covering the profile space in lexicographic order."""
-    counts = np.asarray(strategy_counts, dtype=np.int64)
-    radix = _radix(counts)
-    total = profile_count(counts)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield idx[:, None] // radix % counts
+    """Yield ``(B, p)`` int64 blocks covering the profile space in lexicographic order.
+
+    The trailing players are the longest suffix whose joint space (``T``
+    profiles) fits in ``chunk``. Their columns are written once per pass, by
+    broadcasting each digit over its run of rows, into a column-major template
+    of ``T``-row runs: one run per prefix (a profile of the leading players),
+    at most ``chunk // T`` runs. Each block is a copy of the template for
+    consecutive prefixes, so it has at most ``chunk`` rows, and its leading
+    columns repeat each prefix digit ``T`` times. Only the prefix codes are
+    divided into digits, never the rows of a block.
+    """
+    counts = [int(m) for m in strategy_counts]
+    p = len(counts)
+    k = p
+    while k > 0 and profile_count(counts[k - 1:]) <= chunk:
+        k -= 1
+    tail = profile_count(counts[k:])
+    prefixes = profile_count(counts[:k])
+    runs = min(chunk // tail, prefixes)
+    template = np.empty((runs * tail, p), dtype=np.int64, order="F")
+    for j in range(k, p):
+        # Column j viewed as (outer, m_j, inner): digit b fills [:, b, :].
+        column = template[:, j].reshape(-1, counts[j], profile_count(counts[j + 1:]))
+        column[...] = np.arange(counts[j])[:, None]
+    if k == 0:  # The whole space is one block.
+        yield template
+        return
+    lead = np.asarray(counts[:k], dtype=np.int64)
+    lead_radix = _radix(lead)
+    for start in range(0, prefixes, runs):
+        codes = np.arange(start, min(start + runs, prefixes), dtype=np.int64)
+        block = template[: len(codes) * tail].copy(order="F")
+        for j, digits in enumerate((codes[:, None] // lead_radix % lead).T):
+            block[:, j].reshape(len(codes), tail)[...] = digits[:, None]
+        yield block
 
 
 def _strategy_payoffs(base, terms, block: np.ndarray) -> np.ndarray:
@@ -409,7 +437,11 @@ def price_of_anarchy(
     Raises :class:`DegeneratePoaError` when the minimum equilibrium welfare
     is zero after the shift.
     """
-    best, worst_eq = welfare_extremes(game, psne, cap=cap)
+    return _poa_ratio(*welfare_extremes(game, psne, cap=cap))
+
+
+def _poa_ratio(best: float, worst_eq: float) -> float:
+    """``best / worst_eq`` for :func:`welfare_extremes` output; a zero minimum is degenerate."""
     if worst_eq == 0.0:
         raise DegeneratePoaError(
             "minimum equilibrium welfare is zero after the nonnegativity shift",

@@ -55,6 +55,12 @@ def test_random_game_deterministic_and_validated():
         RandomGameSpec(p=3, d=3, m=3)
 
 
+@pytest.mark.parametrize("std", [float("nan"), float("inf"), 0.0, -1.0])
+def test_random_game_spec_rejects_bad_payoff_std(std):
+    with pytest.raises(InvalidInputError, match=rf"payoff_std .*got {std}$"):
+        RandomGameSpec(p=3, d=1, payoff_std=std)
+
+
 def test_maj_examples():
     assert maj((0, 1, 1)) == 1
     assert maj((0, 1)) == 0

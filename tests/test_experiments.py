@@ -4,11 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymatrix import (
     InvalidInputError,
+    LearnedModel,
     LearnerConfig,
     LocalNoise,
+    PolymatrixGame,
     enumerate_psne,
     evaluate_theorem1,
     fit_game,
@@ -162,6 +166,16 @@ def test_evaluate_random_perturbations_bounded():
         assert gap <= b + 1e-12
 
 
+def oracle_payoff_gap(game, params):
+    """Worst |learned - true| payoff over every profile and player, by direct loops."""
+    gap = 0.0
+    for x in itertools.product(*(range(m) for m in game.strategy_counts)):
+        for i, theta in enumerate(params):
+            est = float(theta.values @ theta.layout.feature(x[i], x))
+            gap = max(gap, abs(est - oracle_payoff(game, i, x)))
+    return gap
+
+
 def reference_theorem1(game, params, learned_game):
     """Theorem 1 report rebuilt from loops, the oracle enumeration and check_separability."""
     errors = []
@@ -170,11 +184,7 @@ def reference_theorem1(game, params, learned_game):
         lay = theta.layout
         errors.append(sum(np.linalg.norm(diff[lay.group_slice(g)]) for g in range(lay.num_groups)))
     eps = 2.0 * max(errors)
-    gap = 0.0
-    for x in itertools.product(*(range(m) for m in game.strategy_counts)):
-        for i, theta in enumerate(params):
-            est = float(theta.values @ theta.layout.feature(x[i], x))
-            gap = max(gap, abs(est - oracle_payoff(game, i, x)))
+    gap = oracle_payoff_gap(game, params)
     ne_true = oracle_enumerate(game, 0.0)
     ne_learned = oracle_enumerate(learned_game, 0.0)
     learned_in = set(ne_learned) <= set(oracle_enumerate(game, eps))
@@ -225,6 +235,99 @@ def test_evaluate_matches_reference_for_models_and_games():
     # Both input kinds, and both outcomes of the equilibrium comparison, were covered.
     assert {kind for kind, _ in seen} == {"LearnedModel", "PolymatrixGame"}
     assert {eq for _, eq in seen} == {True, False}
+
+
+def _game_with_counts(rng, counts, edge_prob):
+    p = len(counts)
+    pairs = {
+        (i, j): rng.normal(size=(counts[i], counts[j]))
+        for i in range(p) for j in range(p) if i != j and rng.random() < edge_prob
+    }
+    return PolymatrixGame(counts, [rng.normal(size=m) for m in counts], pairs)
+
+
+def _sparse_estimate(rng, game, drop):
+    """Noisy parameters: each pair group is zeroed with probability ``drop``, else perturbed.
+
+    Zeroing drops true edges; perturbing a group the game lacks adds a spurious one.
+    """
+    params = []
+    for i in range(game.num_players):
+        theta = pack_parameters(game, i)
+        lay = theta.layout
+        values = theta.values + rng.normal(0, 0.3, lay.dim)
+        for g in range(1, lay.num_groups):
+            if rng.random() < drop:
+                values[lay.group_slice(g)] = 0.0
+        params.append(GroupedVector(lay, values))
+    return params
+
+
+def _learned_input(game, params, as_model):
+    """``params`` as a LearnedModel (its game thresholds weak groups away) or as a game."""
+    counts = game.strategy_counts
+    if not as_model:
+        return game_from_parameters(params, counts)
+    learned_game = game_from_parameters(params, counts, threshold=0.4)
+    return LearnedModel(
+        strategy_counts=counts, params=tuple(params), edges=learned_game.edges,
+        game=learned_game, diagnostics=(), config=LearnerConfig(),
+    )
+
+
+def _assert_gap_matches_oracle(game, params, learned):
+    """The closed-form gap equals the brute-force one, with and without ``ne_true``."""
+    if isinstance(learned, PolymatrixGame):
+        params = [pack_parameters(learned, i) for i in range(game.num_players)]
+    want = oracle_payoff_gap(game, params)
+    reports = [evaluate_theorem1(game, learned, ne_true=ne) for ne in (None, enumerate_psne(game))]
+    for ev in reports:
+        assert ev.payoff_discrepancy == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert reports[0] == reports[1]
+
+
+def test_payoff_gap_closed_form_matches_brute_force():
+    rng = np.random.default_rng(64)
+    seen = set()
+    for trial in range(30):
+        p = 1 + trial % 5
+        game = random_game_dense(rng, p, m_choices=(1, 2, 3))
+        params = _sparse_estimate(rng, game, drop=0.4)
+        learned = _learned_input(game, params, as_model=trial % 2 == 1)
+        _assert_gap_matches_oracle(game, params, learned)
+        learned_edges = {
+            (i, j)
+            for i, theta in enumerate(params)
+            for g, j in enumerate(theta.layout.others, start=1) if theta.group(g).any()
+        }
+        seen.add(type(learned).__name__)
+        seen.update(
+            name for name, hit in (
+                ("one-strategy player", 1 in game.strategy_counts),
+                ("p=5", p == 5),
+                ("spurious group", bool(learned_edges - game.edges)),
+                ("dropped edge", bool(game.edges - learned_edges)),
+            ) if hit
+        )
+    assert seen == {
+        "LearnedModel", "PolymatrixGame", "one-strategy player", "p=5",
+        "spurious group", "dropped edge",
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    counts=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+    edge_prob=st.sampled_from((0.0, 0.5, 1.0)),
+    drop=st.sampled_from((0.0, 0.5, 1.0)),
+    as_model=st.booleans(),
+)
+def test_payoff_gap_closed_form_property(counts, seed, edge_prob, drop, as_model):
+    rng = np.random.default_rng(seed)
+    game = _game_with_counts(rng, counts, edge_prob)
+    params = _sparse_estimate(rng, game, drop)
+    _assert_gap_matches_oracle(game, params, _learned_input(game, params, as_model))
 
 
 def test_evaluate_containment_implication():

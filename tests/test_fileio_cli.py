@@ -9,14 +9,18 @@ from polymatrix import (
     ParseError,
     enumerate_psne,
     fit_game,
+    profile_count,
     sample_dataset,
+    welfare_extremes,
 )
+from polymatrix import games
 from polymatrix.cli import main
 from polymatrix.ensembles import HardEnsembleSpec, RandomGameSpec, hard_game, random_game
 from polymatrix.fileio import (
     SUPREME_COURT_RULE,
     IDENTITY_RULE,
     artifact_header,
+    format_float,
     ingest_votes,
     read_dataset,
     read_game,
@@ -216,6 +220,40 @@ def test_cli_poa(tmp_path):
     }
     assert float(body["price_of_anarchy"]) >= 1.0
     assert int(body["equilibria"]) == 1
+
+
+def test_cli_poa_makes_one_welfare_pass(tmp_path, monkeypatch):
+    game_path = tmp_path / "game.txt"
+    main(["generate", "--p", "5", "--d", "2", "--seed", "3", "--out", str(game_path)])
+    game = read_game(game_path.read_text())
+    ne = enumerate_psne(game)
+    best, worst_eq = welfare_extremes(game, ne)
+    rows = []
+    real = games._welfare_rows
+
+    def counted(game, block, shift):
+        rows.append(len(block))
+        return real(game, block, shift)
+
+    monkeypatch.setattr(games, "_welfare_rows", counted)
+    out = tmp_path / "poa.txt"
+    assert main(["poa", "--game", str(game_path), "--out", str(out)]) == 0
+    # The whole profile space once, plus the equilibria for the minimum.
+    assert sum(rows) == profile_count(game.strategy_counts) + len(ne)
+    body = dict(line.split() for line in out.read_text().splitlines() if not line.startswith("#"))
+    assert body["max_welfare"] == format_float(best)
+    assert body["min_equilibrium_welfare"] == format_float(worst_eq)
+    assert body["price_of_anarchy"] == format_float(best / worst_eq)
+
+
+@pytest.mark.parametrize("std", ["nan", "inf"])
+def test_cli_generate_rejects_non_finite_payoff_std(tmp_path, capsys, std):
+    out = tmp_path / "game.txt"
+    args = ["generate", "--p", "3", "--d", "1", "--payoff-std", std, "--out", str(out)]
+    assert main(args) == 5
+    err = capsys.readouterr().err
+    assert "payoff_std" in err and f"got {std}" in err
+    assert not out.exists()
 
 
 def test_cli_experiment_mini(tmp_path):

@@ -27,6 +27,7 @@ from polymatrix import (
     welfare,
     welfare_extremes,
 )
+from polymatrix.games import _CHUNK, _profile_blocks
 from polymatrix.ensembles import HardEnsembleSpec, RandomGameSpec, hard_game, random_game
 
 from helpers import (
@@ -256,6 +257,31 @@ def test_enumerate_cap_exceeded():
         enumerate_psne(game, cap=63)
     assert exc.value.profile_count == 64
     assert "64" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "counts,chunk",
+    [
+        ((1,), 7),
+        ((1, 1, 1), 2),
+        ((2, 1, 3, 1), 1),
+        ((2, 1, 3, 1), 2),
+        ((5, 4, 1, 7, 2), 7),
+        ((3, 9), 5),  # chunk below the last player's m
+        ((4, 2, 3), 24),  # exactly the whole space
+        ((4, 2, 3), 1000),
+        ((3,) * 10, _CHUNK),
+        ((3,) * 11, _CHUNK),
+        ((2, 1, 4, 3, 1, 2, 3, 2, 4), _CHUNK),
+    ],
+)
+def test_profile_blocks_match_itertools_product(counts, chunk):
+    blocks = list(_profile_blocks(counts, chunk))
+    assert all(b.shape[0] <= chunk and b.dtype == np.int64 for b in blocks)
+    want = np.array(list(itertools.product(*(range(m) for m in counts)))).reshape(-1, len(counts))
+    assert np.array_equal(np.concatenate(blocks), want)
+    if np.prod(counts) > chunk:
+        assert len(blocks) > 1
 
 
 def test_welfare_constant_game_poa_is_one():
