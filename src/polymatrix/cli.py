@@ -3,8 +3,9 @@
 Every subcommand is non-interactive, honors ``--seed``, ``--out`` and
 ``--config``, and echoes its fully resolved configuration into the output
 artifact so runs can be reproduced from the file alone. A ``--config``
-file holds ``key = value`` lines (keys match the long flag names);
-explicit flags override file values.
+file holds ``key = value`` lines (keys match the long flag names), each
+converted and checked as its flag would be; explicit flags override file
+values. ``--threads`` is accepted and ignored: every command runs serially.
 
 Exit codes: 0 success, 2 usage, 3 parse or missing file, 4 enumeration
 capacity exceeded, 5 numeric or model error.
@@ -13,7 +14,6 @@ capacity exceeded, 5 numeric or model error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -50,7 +50,20 @@ def _float_list(text: str):
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _lambda_text(text: str) -> str:
+    """Check a ``--lambda`` value; the user's spelling is kept for the header."""
+    if text != "theory":
+        try:
+            float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number or 'theory', got {text!r}"
+            ) from None
+    return text
+
+
+def _build_parser():
+    """The top-level parser and its subcommand parsers, keyed by name."""
     parser = argparse.ArgumentParser(
         prog="polymatrix",
         description="Learn and analyze sparse polymatrix games.",
@@ -92,14 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("learn", help="fit a game from a dataset CSV", epilog=_EPILOG)
     sp.add_argument("--data", required=True)
-    sp.add_argument("--lambda", dest="lam", help="penalty weight, or 'theory'")
+    sp.add_argument("--lambda", dest="lam", type=_lambda_text, help="penalty weight, or 'theory'")
     sp.add_argument("--d", type=int, help="assumed degree for the theory schedule")
     sp.add_argument("--nu", type=float)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--max-iter", type=int, dest="max_iter")
     sp.add_argument("--tol", type=float)
     sp.add_argument("--edge-threshold", type=float, dest="edge_threshold")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help="accepted and ignored; runs are serial")
     common(sp, seed=False)
 
     sp = sub.add_parser("psne", help="enumerate (epsilon-)equilibria of a game file", epilog=_EPILOG)
@@ -125,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float)
     sp.add_argument("--noise", choices=("global", "local"))
     sp.add_argument("--q", type=float)
-    sp.add_argument("--lambda", dest="lam", help="penalty weight, or 'theory'")
+    sp.add_argument("--lambda", dest="lam", type=_lambda_text, help="penalty weight, or 'theory'")
     sp.add_argument("--timeout", type=float, help="per-trial timeout in seconds")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help="accepted and ignored; runs are serial")
     sp.add_argument("--details", help="optional per-trial CSV path")
     common(sp)
 
@@ -137,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fill-abstain", action="store_true", dest="fill_abstain", default=None)
     common(sp, seed=False)
 
-    return parser
+    return parser, sub.choices
 
 
 _DEFAULTS = {
@@ -175,12 +188,6 @@ _DEFAULTS = {
     "ingest": {"rule": "identity", "fill_abstain": False},
 }
 
-def _list_key(key: str, command: str) -> bool:
-    if key in ("c_grid", "influential", "target"):
-        return True
-    return command == "experiment" and key in ("p", "d")
-
-
 def _load_config_file(path: str) -> dict:
     """Map each key to its value and line number."""
     out = {}
@@ -195,38 +202,40 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-# Keys whose built-in default (None) does not reveal their type.
-_CONFIG_TYPES = {"timeout": float, "epsilon": float, "d": int, "seed": int}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(key: str, value: str, command: str):
-    if _list_key(key, command):
-        return _float_list(value) if key == "c_grid" else _int_list(value)
-    default = _DEFAULTS[command].get(key)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    if default is None and key in _CONFIG_TYPES:
-        return _CONFIG_TYPES[key](value)
-    return value
+def _config_value(action: argparse.Action, value: str, lineno: int):
+    """Convert one config-file value as its flag would be, or raise ParseError."""
+    where = f"config line {lineno}: {action.dest} = {value!r}"
+    if action.nargs == 0:  # a store_true flag such as --fill-abstain
+        if value.lower() not in _BOOL_WORDS:
+            raise ParseError(f"{where}: expected one of {', '.join(_BOOL_WORDS)}")
+        return _BOOL_WORDS[value.lower()]
+    try:
+        out = action.type(value) if action.type else value
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    if action.choices is not None and out not in action.choices:
+        raise ParseError(f"{where}: expected one of {', '.join(action.choices)}")
+    return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> dict:
     """Merge CLI flags over config-file values over built-in defaults."""
     command = args.command
     merged = dict(_DEFAULTS.get(command, {}))
     if getattr(args, "config", None):
         known = set(vars(args)) - {"command", "config"}
+        actions = {a.dest: a for a in subparser._actions if a.dest in known}
         for key, (value, lineno) in _load_config_file(args.config).items():
             if key not in known:
                 raise ParseError(
                     f"config line {lineno}: unknown key {key!r} for {command} "
                     f"(known keys: {', '.join(sorted(known))})"
                 )
-            merged[key] = _coerce(key, value, command)
+            merged[key] = _config_value(actions[key], value, lineno)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -253,9 +262,10 @@ def _config_echo(conf: dict) -> dict:
     return echo
 
 
-def _threads(conf) -> int:
-    t = int(conf.get("threads") or 0)
-    return t if t > 0 else (os.cpu_count() or 1)
+def _lambda(conf):
+    """The checked ``lam`` text as ``"theory"`` or a float."""
+    text = conf["lam"]
+    return text if text == "theory" else float(text)
 
 
 def _learner_config(conf: dict) -> LearnerConfig:
@@ -314,17 +324,13 @@ def _cmd_sample(conf) -> int:
 def _cmd_learn(conf) -> int:
     data = fileio.read_dataset(fileio.load_text(conf["data"]))
     base = _learner_config(conf)
-    lam_opt = conf["lam"]
-    if isinstance(lam_opt, str) and lam_opt != "theory":
-        lam_opt = float(lam_opt)
-    if lam_opt == "theory":
+    lam = _lambda(conf)
+    if lam == "theory":
         d = conf.get("d")
         if d is None:
             raise ParseError("--lambda theory needs --d (assumed graph degree)")
         lam = lambda_schedule(data.n, data.num_players, d, base)
-    else:
-        lam = float(lam_opt)
-    model = fit_game(data, base.resolved(lam), threads=_threads(conf))
+    model = fit_game(data, base.resolved(lam))
     echo = _config_echo(conf)
     echo["resolved_lambda"] = fileio.format_float(lam)
     header = fileio.artifact_header("learn", echo)
@@ -377,9 +383,6 @@ def _cmd_poa(conf) -> int:
 
 
 def _cmd_experiment(conf) -> int:
-    lam_opt = conf["lam"]
-    if isinstance(lam_opt, str) and lam_opt != "theory":
-        lam_opt = float(lam_opt)
     spec = ExperimentSpec(
         p_values=conf["p"],
         d_values=conf["d"],
@@ -390,11 +393,11 @@ def _cmd_experiment(conf) -> int:
         trials=conf["trials"],
         delta=conf["delta"],
         seed=conf["seed"],
-        lambda_mode=lam_opt,
+        lambda_mode=_lambda(conf),
         learner=_learner_config(conf),
         trial_timeout=conf.get("timeout"),
     )
-    report = phase_transition_sweep(spec, threads=_threads(conf))
+    report = phase_transition_sweep(spec)
     header = fileio.artifact_header("experiment", _config_echo(conf), seed=conf["seed"])
     _emit(fileio.write_sweep_csv(report, header), conf.get("out"))
     if conf.get("details"):
@@ -426,13 +429,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        conf = _resolve(args)
+        conf = _resolve(args, subparsers[args.command])
         return _COMMANDS[args.command](conf)
     except ParseError as exc:
         sys.stderr.write(f"error: parse: {exc}\n")

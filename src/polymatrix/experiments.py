@@ -3,8 +3,7 @@
 ``phase_transition_sweep`` estimates, over many seeded trials, how often
 the learner recovers the exact equilibrium set of a random game as the
 sample budget grows through a control exponent ``c``. Trials derive their
-seeds from the base seed and trial index, so they can run in any order
-(or in parallel) without changing the report.
+seeds from the base seed and trial index and run one after another.
 
 ``evaluate_theorem1`` compares a learned model against the game the data
 came from: parameter error per player, worst payoff discrepancy, and the
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,8 +238,8 @@ def phase_transition_sweep(
 ) -> ExperimentReport:
     """Run every (p, d, c) configuration for the configured number of trials.
 
-    Trials are aggregated by key, not completion order, so the report is
-    identical whatever the thread count.
+    Trials run serially in key order, so each key's records are one
+    consecutive run of ``spec.trials``. ``threads`` is accepted and ignored.
     """
     keys = [
         (p, d, c)
@@ -249,25 +247,15 @@ def phase_transition_sweep(
         for d in spec.d_values
         for c in spec.c_grid
     ]
-    jobs = [
-        (p, d, c, derive_seed(spec.seed, t))
+    records = [
+        recovery_trial(p, d, c, spec, derive_seed(spec.seed, t), cap=cap)
         for (p, d, c) in keys
         for t in range(spec.trials)
     ]
 
-    def run(job):
-        p, d, c, seed = job
-        return recovery_trial(p, d, c, spec, seed, cap=cap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, jobs))
-    else:
-        records = [run(job) for job in jobs]
-
     rows = []
-    for (p, d, c) in keys:
-        group = [r for r in records if (r.p, r.d, r.c) == (p, d, c)]
+    for k, (p, d, c) in enumerate(keys):
+        group = records[k * spec.trials:(k + 1) * spec.trials]
         recovered = sum(r.recovered for r in group)
         rows.append(
             SweepRow(

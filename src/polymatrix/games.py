@@ -395,8 +395,13 @@ def _welfare_rows(game: PolymatrixGame, block: np.ndarray, shift: float) -> np.n
     """Shifted welfare of every row of ``block``, summed player by player."""
     total = np.zeros(block.shape[0])
     for i in range(game.num_players):
-        vals = _strategy_payoffs(*_game_terms(game, i), block)
-        total += vals[np.arange(block.shape[0]), block[:, i]] + shift * (1 + game.degree(i))
+        # The played column of _strategy_payoffs, gathered directly in the same order.
+        base, terms = _game_terms(game, i)
+        own = block[:, i]
+        vals = base[own]
+        for j, mat in terms:
+            vals += mat[own, block[:, j]]
+        total += vals + shift * (1 + game.degree(i))
     return total
 
 

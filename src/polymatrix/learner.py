@@ -8,7 +8,8 @@ the fitted sparsity pattern directly proposes the player's in-neighbors.
 The solver is an accelerated proximal gradient method with backtracking
 line search and an objective-based adaptive restart that keeps accepted
 iterates non-increasing. Everything here is deterministic given its
-inputs; fitting different players is independent and safe to parallelize.
+inputs. Players are fitted one after another: each fit is short numpy work
+that holds the GIL, so a thread pool made ``fit_game`` slower, not faster.
 
 A dataset is encoded once for all players (distinct rows, weights, one-hot
 design matrix ``X``): each loss is one product ``W X^T``, each gradient one more.
@@ -17,7 +18,6 @@ design matrix ``X``): each loss is one product ``W X^T``, each gradient one more
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -454,19 +454,15 @@ def fit_player(
 
 
 def fit_game(data: Dataset, config: LearnerConfig, threads: int = 1) -> LearnedModel:
-    """Fit every player independently and assemble the learned game.
+    """Fit every player independently, in order, and assemble the learned game.
 
     A pair group proposes an edge when its norm exceeds
     ``config.edge_threshold`` times the player's largest group norm; the
-    rebuilt game keeps exactly those matrices.
+    rebuilt game keeps exactly those matrices. ``threads`` is accepted and
+    ignored.
     """
-    p = data.num_players
     design = _encode(data)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: fit_player(design, i, config), range(p)))
-    else:
-        results = [fit_player(design, i, config) for i in range(p)]
+    results = [fit_player(design, i, config) for i in range(data.num_players)]
 
     individual = []
     pairs = {}

@@ -115,6 +115,12 @@ def test_sweep_row_count_and_determinism():
     assert want == write_trials_csv(_strip_report_timing(threaded))
 
 
+def test_sweep_rows_count_each_key_once_when_c_repeats():
+    report = phase_transition_sweep(default_spec(c_grid=(0.0, 0.0), trials=2))
+    assert [(r.c, r.trials) for r in report.rows] == [(0.0, 2), (0.0, 2)]
+    assert len(report.trial_records) == 4
+
+
 def test_sweep_rejects_infeasible_degree():
     with pytest.raises(InvalidInputError):
         default_spec(p_values=(3,), d_values=(3,))

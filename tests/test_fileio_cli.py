@@ -15,6 +15,7 @@ from polymatrix import (
 )
 from polymatrix import games
 from polymatrix.cli import main
+from polymatrix.experiments import ExperimentSpec, phase_transition_sweep
 from polymatrix.ensembles import HardEnsembleSpec, RandomGameSpec, hard_game, random_game
 from polymatrix.fileio import (
     SUPREME_COURT_RULE,
@@ -355,6 +356,87 @@ def test_cli_config_unknown_key_is_a_parse_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: parse:") and f"'{key}'" in err and f"line {line}" in err
         assert not out.exists()
+
+
+def _votes_file(tmp_path):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("1,6,2\n")
+    return votes
+
+
+_NO_GAME = ["--game", "missing.txt"]  # never read: the config fails first
+
+# (subcommand arguments, config text, offending key, its line)
+_BAD_CONFIG_VALUES = {
+    "generate-int": (["generate"], "d = 1\np = abc\n", "p", 2),
+    "experiment-list": (["experiment", "--p", "5", "--d", "1"], "c_grid = 0,x\n", "c_grid", 1),
+    "sample-choice": (["sample"] + _NO_GAME, "noise = bogus\n", "noise", 1),
+    "ingest-choice": (["ingest", "--votes", "VOTES"], "rule = bogus\n", "rule", 1),
+    "ingest-flag": (["ingest", "--votes", "VOTES"], "# abstentions\nfill_abstain = maybe\n",
+                    "fill_abstain", 2),
+    "learn-lambda": (["learn", "--data", "DATA"], "d = 1\nlam = abc\n", "lam", 2),
+    "experiment-lambda": (["experiment", "--p", "5", "--d", "1"], "lam = abc\n", "lam", 1),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, key, line", list(_BAD_CONFIG_VALUES.values()), ids=list(_BAD_CONFIG_VALUES)
+)
+def test_cli_config_rejects_malformed_value(tmp_path, capsys, argv, text, key, line):
+    subs = {"VOTES": str(_votes_file(tmp_path)), "DATA": str(_sample_file(tmp_path))}
+    capsys.readouterr()
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    out = tmp_path / "out.txt"
+    argv = [subs.get(a, a) for a in argv] + ["--config", str(conf), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse:") and f"line {line}: {key} = " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["learn", "experiment"])
+def test_cli_lambda_flag_rejects_non_number(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    extra = ["--data", str(_sample_file(tmp_path))] if command == "learn" else []
+    capsys.readouterr()
+    assert main([command, *extra, "--lambda", "abc", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--lambda" in err and "'abc'" in err
+    assert not out.exists()
+
+
+def test_cli_config_boolean_spellings(tmp_path, capsys):
+    votes = tmp_path / "votes.csv"
+    votes.write_text("1,,3\n")
+    conf = tmp_path / "run.conf"
+    out = tmp_path / "data.csv"
+    for word, fill in (("Yes", True), ("on", True), ("1", True), ("false", False), ("OFF", False)):
+        conf.write_text(f"fill_abstain = {word}\n")
+        code = main(["ingest", "--votes", str(votes), "--config", str(conf), "--out", str(out)])
+        if fill:
+            assert code == 0
+            assert read_dataset(out.read_text()).profiles.tolist() == [[0, 1, 2]]
+        else:
+            # Read as false, so the empty cell is rejected by the ingester, not the config.
+            assert code == 3 and "config" not in capsys.readouterr().err
+
+
+def test_no_thread_is_started(tmp_path, monkeypatch):
+    import threading
+
+    data_path = _sample_file(tmp_path)
+    data = read_dataset(data_path.read_text())
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    fit_game(data, LearnerConfig().resolved(0.05), threads=4)
+    spec = ExperimentSpec(p_values=(4,), d_values=(1,), c_grid=(0.0,), trials=2, seed=1)
+    phase_transition_sweep(spec, threads=4)
+    out = tmp_path / "model.txt"
+    assert main(["learn", "--data", str(data_path), "--lambda", "0.05", "--out", str(out)]) == 0
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
