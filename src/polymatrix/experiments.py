@@ -168,15 +168,22 @@ def _noise_for(spec_kind: str, q: float, p: int):
     return GlobalNoise(q)
 
 
-def _generate_nonempty_ne_game(p, d, m, seed, max_retries, cap):
-    """Random game with at least one equilibrium (the noise models need one)."""
-    for attempt in range(max_retries):
-        game = random_game(RandomGameSpec(p=p, d=d, m=m, seed=derive_seed(seed, attempt)))
+def _draw_trial_game(p, d, spec, seed, cap):
+    """A trial's random game with at least one equilibrium (the noise models need one).
+
+    Returns the game, its equilibria, the draws rejected before it and the
+    seconds spent. The game seed depends on the trial seed alone, not on
+    ``c``, so a sweep draws each trial's game once and runs every ``c`` on it.
+    """
+    start = time.perf_counter()
+    base = derive_seed(seed, 1)
+    for attempt in range(spec.max_game_retries):
+        game = random_game(RandomGameSpec(p=p, d=d, m=spec.m, seed=derive_seed(base, attempt)))
         ne = enumerate_psne(game, cap=cap)
         if len(ne) > 0:
-            return game, ne, attempt
+            return game, ne, attempt, time.perf_counter() - start
     raise InvalidInputError(
-        f"no game with a nonempty equilibrium set in {max_retries} draws"
+        f"no game with a nonempty equilibrium set in {spec.max_game_retries} draws"
     )
 
 
@@ -189,10 +196,13 @@ def recovery_trial(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> TrialRecord:
     """One seeded end-to-end trial: generate, sample, fit, compare equilibria."""
+    return _run_trial(p, d, c, spec, seed, cap, _draw_trial_game(p, d, spec, seed, cap))
+
+
+def _run_trial(p, d, c, spec, seed, cap, drawn) -> TrialRecord:
+    """:func:`recovery_trial` on an already drawn game; its seconds count toward the trial."""
+    game, ne_true, retries, draw_seconds = drawn
     start = time.perf_counter()
-    game, ne_true, retries = _generate_nonempty_ne_game(
-        p, d, spec.m, derive_seed(seed, 1), spec.max_game_retries, cap
-    )
     n = sample_count(c, p, d, spec.delta)
     noise = _noise_for(spec.noise_kind, spec.q, p)
     data_seed = derive_seed(seed, 2)
@@ -210,7 +220,7 @@ def recovery_trial(
     fit_seconds = time.perf_counter() - fit_start
 
     evaluation = evaluate_theorem1(game, model, cap=cap, ne_true=ne_true)
-    trial_seconds = time.perf_counter() - start
+    trial_seconds = draw_seconds + time.perf_counter() - start
     timed_out = spec.trial_timeout is not None and trial_seconds > spec.trial_timeout
     return TrialRecord(
         p=p,
@@ -239,19 +249,22 @@ def phase_transition_sweep(
     """Run every (p, d, c) configuration for the configured number of trials.
 
     Trials run serially in key order, so each key's records are one
-    consecutive run of ``spec.trials``. ``threads`` is accepted and ignored.
+    consecutive run of ``spec.trials``. Each trial's game is drawn once per
+    (p, d) and shared by every ``c``; every record's ``trial_seconds``
+    includes the time that draw took. ``threads`` is accepted and ignored.
     """
-    keys = [
-        (p, d, c)
-        for p in spec.p_values
-        for d in spec.d_values
-        for c in spec.c_grid
-    ]
-    records = [
-        recovery_trial(p, d, c, spec, derive_seed(spec.seed, t), cap=cap)
-        for (p, d, c) in keys
-        for t in range(spec.trials)
-    ]
+    keys = []
+    records = []
+    for p in spec.p_values:
+        for d in spec.d_values:
+            seeds = [derive_seed(spec.seed, t) for t in range(spec.trials)]
+            drawn = [_draw_trial_game(p, d, spec, seed, cap) for seed in seeds]
+            for c in spec.c_grid:
+                keys.append((p, d, c))
+                records.extend(
+                    _run_trial(p, d, c, spec, seed, cap, draw)
+                    for seed, draw in zip(seeds, drawn)
+                )
 
     rows = []
     for k, (p, d, c) in enumerate(keys):

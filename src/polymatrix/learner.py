@@ -7,9 +7,15 @@ the fitted sparsity pattern directly proposes the player's in-neighbors.
 
 The solver is an accelerated proximal gradient method with backtracking
 line search and an objective-based adaptive restart that keeps accepted
-iterates non-increasing. Everything here is deterministic given its
-inputs. Players are fitted one after another: each fit is short numpy work
-that holds the GIL, so a thread pool made ``fit_game`` slower, not faster.
+iterates non-increasing. It runs on a working set ``S`` of groups: with
+every other group at zero, the loss reads only the columns of the player
+and of ``S``'s players, so each round fits the design projected onto those
+columns (its rows merged, at most ``m^(|S|+1)`` of them), then certifies
+the result with one loss and gradient on the full design and adds the
+groups that violate optimality. Everything here is deterministic given
+its inputs. Players are fitted one after another: each fit is short numpy
+work that holds the GIL, so a thread pool made ``fit_game`` slower, not
+faster.
 
 A dataset is encoded once for all players (distinct rows, weights, one-hot
 design matrix ``X``): each loss is one product ``W X^T``, each gradient one more.
@@ -120,14 +126,31 @@ class _Design:
         self.x = x
 
 
-def _encode(data: Dataset) -> _Design:
-    """Deduplicate the rows once, in lexicographic order, and build the design."""
-    order = np.lexsort(data.profiles.T[::-1])
-    ordered = data.profiles[order]
+def _encode(counts, profiles: np.ndarray, weights: np.ndarray, total: float = None) -> _Design:
+    """Design of the distinct rows of ``profiles`` in lexicographic order, weights summed.
+
+    ``total`` defaults to the weight sum; :func:`fit_game` encodes a dataset
+    once over all columns, and :func:`_project` re-encodes a column subset.
+    """
+    order = np.lexsort(profiles.T[::-1])
+    ordered = profiles[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    w = np.bincount(np.cumsum(first) - 1, weights=data.weights[order].astype(np.float64))
-    return _Design(data.strategy_counts, ordered[first], w, float(w.sum()))
+    w = np.bincount(np.cumsum(first) - 1, weights=weights[order].astype(np.float64))
+    return _Design(tuple(counts), ordered[first], w, float(w.sum()) if total is None else total)
+
+
+def _project(design: _Design, players: list) -> _Design:
+    """The design seen through the columns of ``players`` (ascending) alone.
+
+    Rows that agree on those columns merge and their weights add up; the
+    total stays the full one, so a loss that reads only these columns takes
+    the same value on either design.
+    """
+    if len(players) == len(design.strategy_counts):
+        return design
+    counts = [design.strategy_counts[j] for j in players]
+    return _encode(counts, design.rows[:, players], design.weights, design.total)
 
 
 class _PlayerData:
@@ -140,7 +163,9 @@ class _PlayerData:
     """
 
     def __init__(self, data, layout: GroupLayout):
-        design = data if isinstance(data, _Design) else _encode(data)
+        design = data if isinstance(data, _Design) else _encode(
+            data.strategy_counts, data.profiles, data.weights
+        )
         if design.strategy_counts != layout.counts:
             raise InvalidInputError("dataset and layout disagree on strategy counts")
         self.design = design
@@ -284,8 +309,13 @@ def _invariance_basis(layout: GroupLayout, groups) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((dim, 0))
 
 
+def _group_index(layout: GroupLayout, groups) -> np.ndarray:
+    """Positions of the given groups' entries, in layout order."""
+    return np.concatenate([np.arange(layout.dim)[layout.group_slice(g)] for g in groups])
+
+
 def _restrict(matrix: np.ndarray, layout: GroupLayout, groups) -> np.ndarray:
-    idx = np.concatenate([np.arange(layout.dim)[layout.group_slice(g)] for g in groups])
+    idx = _group_index(layout, groups)
     return matrix[np.ix_(idx, idx)]
 
 
@@ -369,45 +399,28 @@ def gradient_lipschitz_bound(num_groups: int) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One player's fit. ``grad_map_norm`` is the full problem's proximal-gradient
+    mapping norm at ``params``, taken at the solver's final ``step``."""
+
     params: GroupedVector
     objective: float
     iterations: int
     grad_map_norm: float
     converged: bool
     objectives: tuple = None
+    step: float = None
 
 
-def fit_player(
-    data: Dataset, i: int, config: LearnerConfig, record_objectives: bool = False
-) -> FitResult:
-    """Minimize the penalized loss for one player.
+def _apg(enc, lay, x, fx, step, budget, config, trace):
+    """Accelerated proximal gradient on one problem, warm-started at ``x`` (objective ``fx``).
 
-    Runs accelerated proximal gradient from zero with backtracking (or the
-    fixed analytic step) and an adaptive restart: whenever the accelerated
-    candidate would increase the objective, momentum resets and a plain
-    proximal step from the incumbent is taken instead, so accepted iterates
-    never increase the objective. Stops when the proximal-gradient mapping
-    norm falls below the tolerance; otherwise returns with ``converged``
-    False after ``max_iterations``. ``data`` may be :func:`fit_game`'s shared encoding.
+    Stops when the mapping norm at the momentum point falls to the tolerance
+    or after ``budget`` iterations; returns the last accepted iterate, its
+    objective, the step reached and the iterations taken.
     """
-    if config.lam is None:
-        raise InvalidInputError("config.lam must be resolved before fitting")
-    lay = GroupLayout(i, data.strategy_counts)
-    enc = _PlayerData(data, lay)
-    lam = config.lam
-    skip0 = config.exempt_intercept
-
-    x = np.zeros(lay.dim)
+    lam, skip0 = config.lam, config.exempt_intercept
     y = x
     t = 1.0
-    fx = enc.loss(x) + lam * _penalty(x, lay, skip0)
-    step = 1.0 if config.step_rule == "backtracking" else 1.0 / gradient_lipschitz_bound(
-        lay.num_groups
-    )
-    iterations = 0
-    map_norm = np.inf
-    converged = False
-    trace = [fx] if record_objectives else None
 
     def prox_step(point, f_point, g, s):
         """Backtrack from ``point``; return (next, its smooth loss, step, mapping norm)."""
@@ -423,7 +436,7 @@ def fit_player(
             s *= 0.5
         return z, fz_smooth, s, float(np.linalg.norm(diff) / s)
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, budget + 1):
         fy, g = enc.loss_grad(y)
         z, fz_smooth, step, map_norm = prox_step(y, fy, g, step)
         fz = fz_smooth + lam * _penalty(z, lay, skip0)
@@ -440,16 +453,87 @@ def fit_player(
         y = x + ((t - 1.0) / t_next) * (x - x_prev)
         t = t_next
         if map_norm <= config.tolerance:
-            converged = True
             break
+    return x, fx, step, iterations
+
+
+def _working_problem(full: _PlayerData, lay: GroupLayout, work: list) -> tuple:
+    """The player's problem on the groups ``work`` (ascending), all others held at zero.
+
+    Returns its data (the design projected onto the player's and the groups'
+    players), its layout, and where its parameters sit in ``lay``.
+    """
+    players = sorted({lay.player, *(lay.group_player(g) for g in work)})
+    sub_lay = GroupLayout(players.index(lay.player), [lay.counts[j] for j in players])
+    enc = _PlayerData(_project(full.design, players), sub_lay)
+    return enc, sub_lay, _group_index(lay, work)
+
+
+def fit_player(
+    data: Dataset, i: int, config: LearnerConfig, record_objectives: bool = False
+) -> FitResult:
+    """Minimize the penalized loss for one player on a growing working set of groups.
+
+    The working set starts as group 0. Each round projects the design onto
+    the columns of player ``i`` and of the set's players, merges the rows
+    that agree there (at most ``m^(|S|+1)`` of them) and runs accelerated
+    proximal gradient on that small problem, warm-started: backtracking (or
+    the fixed analytic step) with an adaptive restart, so accepted iterates
+    never increase the objective. One loss and gradient on the full design
+    then certify the result: the round adds every group outside the set
+    whose proximal step is nonzero (``||grad_g|| > lam``). The fit converges
+    when the full mapping norm is at most the tolerance and no group is
+    added; ``max_iterations`` bounds the iterations of all rounds together,
+    after which ``converged`` is False. ``objective`` and ``grad_map_norm``
+    are the full problem's at the returned parameters. ``data`` may be
+    :func:`fit_game`'s shared encoding.
+    """
+    if config.lam is None:
+        raise InvalidInputError("config.lam must be resolved before fitting")
+    lay = GroupLayout(i, data.strategy_counts)
+    full = _PlayerData(data, lay)
+    lam = config.lam
+    skip0 = config.exempt_intercept
+
+    x = np.zeros(lay.dim)
+    step = 1.0 if config.step_rule == "backtracking" else 1.0 / gradient_lipschitz_bound(
+        lay.num_groups
+    )
+    work = [0]
+    enc, sub_lay, cols = _working_problem(full, lay, work)
+    fx = enc.loss(x[cols]) + lam * _penalty(x[cols], sub_lay, skip0)
+    trace = [fx] if record_objectives else None
+    used = 0
+    while True:
+        xs, fx, step, k = _apg(
+            enc, sub_lay, x[cols], fx, step, config.max_iterations - used, config, trace
+        )
+        used += k
+        x = np.zeros(lay.dim)
+        x[cols] = xs
+
+        # Certify on the full problem; a group outside the set is a violator
+        # exactly when its proximal step leaves zero.
+        loss, g = full.loss_grad(x)
+        z = _prox_flat(x - step * g, lay, step * lam, skip0)
+        map_norm = float(np.linalg.norm(z - x) / step)
+        grow = _group_norms(z, lay) > 0
+        grow[work] = False
+        converged = map_norm <= config.tolerance and not grow.any()
+        if converged or used >= config.max_iterations:
+            break
+        if grow.any():
+            work = sorted(set(work).union(np.flatnonzero(grow).tolist()))
+            enc, sub_lay, cols = _working_problem(full, lay, work)
 
     return FitResult(
         params=GroupedVector(lay, x),
-        objective=fx,
-        iterations=iterations,
+        objective=loss + lam * _penalty(x, lay, skip0),
+        iterations=used,
         grad_map_norm=map_norm,
         converged=converged,
         objectives=tuple(trace) if trace is not None else None,
+        step=step,
     )
 
 
@@ -461,7 +545,7 @@ def fit_game(data: Dataset, config: LearnerConfig, threads: int = 1) -> LearnedM
     rebuilt game keeps exactly those matrices. ``threads`` is accepted and
     ignored.
     """
-    design = _encode(data)
+    design = _encode(data.strategy_counts, data.profiles, data.weights)
     results = [fit_player(design, i, config) for i in range(data.num_players)]
 
     individual = []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from polymatrix import (
     sample_count,
     sample_dataset,
 )
-from polymatrix.ensembles import HardEnsembleSpec, hard_game
+from polymatrix import experiments
+from polymatrix.ensembles import HardEnsembleSpec, hard_game, random_game
 from polymatrix.experiments import (
     ExperimentSpec,
     derive_seed,
@@ -119,6 +121,31 @@ def test_sweep_rows_count_each_key_once_when_c_repeats():
     report = phase_transition_sweep(default_spec(c_grid=(0.0, 0.0), trials=2))
     assert [(r.c, r.trials) for r in report.rows] == [(0.0, 2), (0.0, 2)]
     assert len(report.trial_records) == 4
+
+
+def test_sweep_draws_each_game_once_and_times_it_in_every_record(monkeypatch):
+    spec = default_spec(p_values=(4, 5), d_values=(1, 2), c_grid=(0.0, 0.5, 1.0), trials=2)
+    want = [
+        _strip_timing(recovery_trial(p, d, c, spec, seed=derive_seed(spec.seed, t)))
+        for p in spec.p_values
+        for d in spec.d_values
+        for c in spec.c_grid
+        for t in range(spec.trials)
+    ]
+    draws = []
+
+    def slow_draw(game_spec):
+        draws.append(game_spec)
+        time.sleep(0.01)
+        return random_game(game_spec)
+
+    monkeypatch.setattr(experiments, "random_game", slow_draw)
+    report = phase_transition_sweep(spec)
+    assert [_strip_timing(r) for r in report.trial_records] == want
+    first_c = [r for r in report.trial_records if r.c == spec.c_grid[0]]
+    assert len(draws) == sum(r.game_retries + 1 for r in first_c)
+    for r in report.trial_records:
+        assert r.trial_seconds >= 0.01 * (r.game_retries + 1)
 
 
 def test_sweep_rejects_infeasible_degree():

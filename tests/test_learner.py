@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from polymatrix import (
@@ -29,9 +32,11 @@ from polymatrix import (
     sample_schedule,
     softmax_sigma,
     theorem_epsilon,
+    unpack_parameters,
 )
+from polymatrix import learner
 from polymatrix.ensembles import RandomGameSpec, random_game
-from polymatrix.learner import _PlayerData, _prox_flat, support_groups
+from polymatrix.learner import _PlayerData, _prox_flat, gradient_lipschitz_bound, support_groups
 from polymatrix.fileio import write_learned_model
 
 from helpers import finite_diff_gradient, oracle_empirical_loss, oracle_gradient
@@ -502,6 +507,142 @@ def test_fit_player_matches_fit_game_bit_for_bit():
     model = fit_game(data, config)
     for i in range(3):
         assert np.array_equal(fit_player(data, i, config).params.values, model.params[i].values)
+
+
+def full_certificate(res, data, config):
+    """The full problem's mapping norm at ``res.params`` and the full gradient.
+
+    Rebuilt from the public :func:`gradient` and :func:`group_prox` on the
+    whole dataset, at the step the fit reports.
+    """
+    theta = res.params
+    g = gradient(theta, data)
+    s = res.step
+    moved = GroupedVector(theta.layout, theta.values - s * g.values)
+    z = group_prox(moved, s * config.lam, config.exempt_intercept)
+    return float(np.linalg.norm(z.values - theta.values) / s), g
+
+
+@pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
+@pytest.mark.parametrize("exempt", [False, True])
+def test_fit_player_certificate_holds_on_the_full_problem(step_rule, exempt):
+    # At a mapping norm of at most tol, a zero group's part of the mapping is
+    # max(0, ||grad_g|| - lam), so its gradient norm may exceed lam by tol at most.
+    rng = np.random.default_rng(59)
+    for trial in range(6):
+        game = nonempty_random_game(1300 + 7 * trial, p=4, d=2, m=3)
+        data = sample_dataset(game, LocalNoise.uniform(4, 0.7), 300, seed=trial)
+        if trial % 2:
+            data = Dataset(data.strategy_counts, data.profiles,
+                           rng.integers(1, 4, size=len(data.profiles)))
+        lam = (0.01, 0.03, 0.1)[trial % 3]
+        config = LearnerConfig(step_rule=step_rule, exempt_intercept=exempt).resolved(lam)
+        for i in range(4):
+            res = fit_player(data, i, config)
+            norm, g = full_certificate(res, data, config)
+            assert res.converged
+            assert norm == pytest.approx(res.grad_map_norm, rel=1e-9, abs=1e-15)
+            assert norm <= config.tolerance
+            if step_rule == "fixed":
+                assert res.step == 1.0 / gradient_lipschitz_bound(res.params.layout.num_groups)
+            theta_norms = res.params.group_norms()
+            grad_norms = g.group_norms()
+            for grp in range(1 if exempt else 0, res.params.layout.num_groups):
+                if theta_norms[grp] == 0:
+                    assert grad_norms[grp] <= lam + config.tolerance
+            if exempt:
+                assert grad_norms[0] <= config.tolerance
+            penalty = theta_norms[1 if exempt else 0:].sum()
+            want = empirical_loss(res.params, data) + lam * penalty
+            assert res.objective == pytest.approx(want, rel=1e-12)
+
+
+def rounds_of(monkeypatch):
+    """Record (budget, iterations taken) for every working-set round of a fit."""
+    seen = []
+    inner = learner._apg
+
+    def recorded(enc, lay, x, fx, step, budget, config, trace):
+        out = inner(enc, lay, x, fx, step, budget, config, trace)
+        seen.append((lay.num_groups, budget, out[3]))
+        return out
+
+    monkeypatch.setattr(learner, "_apg", recorded)
+    return seen
+
+
+def growing_fit_data():
+    # Player 2 at this lambda: the working set grows from {0} to 4 groups, then to all 5.
+    game = random_game(RandomGameSpec(p=5, d=3, m=2, seed=27))
+    return sample_dataset(game, GlobalNoise(0.5), 300, seed=27), 2, LearnerConfig().resolved(0.02)
+
+
+def test_fit_player_working_set_grows_over_rounds_monotonically(monkeypatch):
+    data, i, config = growing_fit_data()
+    seen = rounds_of(monkeypatch)
+    res = fit_player(data, i, config, record_objectives=True)
+    sizes = [size for size, _, _ in seen]
+    assert len(set(sizes)) >= 3 and sizes == sorted(sizes)
+    assert res.converged
+    assert res.iterations == sum(taken for _, _, taken in seen)
+    objs = np.asarray(res.objectives)
+    assert len(objs) == res.iterations + 1
+    assert (np.diff(objs) <= 1e-10).all()
+    assert res.objective <= objs[-1] + 1e-12
+
+
+def test_fit_player_budget_spent_mid_round(monkeypatch):
+    data, i, config = growing_fit_data()
+    seen = rounds_of(monkeypatch)
+    fit_player(data, i, config)
+    first = seen[0][2]
+    assert seen[1][2] > 1
+    seen.clear()
+    capped = replace(config, max_iterations=first + 1)
+    res = fit_player(data, i, capped)
+    # Round 2 gets the one iteration left and stops there, before it converges.
+    assert [budget for _, budget, _ in seen] == [first + 1, 1]
+    assert not res.converged
+    assert res.iterations == first + 1 <= capped.max_iterations
+    norm, _ = full_certificate(res, data, capped)
+    assert norm == pytest.approx(res.grad_map_norm, rel=1e-9, abs=1e-15)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    p=st.integers(2, 5),
+    m=st.integers(2, 3),
+    n=st.integers(20, 400),
+    lam=st.floats(0.005, 0.1),
+    order=st.randoms(use_true_random=False),
+)
+def test_fit_game_commutes_with_player_permutation(seed, p, m, n, lam, order):
+    # Renaming the players renames the fitted model. Measured over these 25
+    # examples: equal supports, objectives within 2.3e-16 and parameters within
+    # 2.3e-15 (only the summation order changes); asserted at 1e-12 and 1e-9.
+    game = nonempty_random_game(seed, p=p, d=1, m=m)
+    data = sample_dataset(game, GlobalNoise(0.6), n, seed=seed)
+    perm = list(range(p))
+    order.shuffle(perm)
+    rows = np.empty_like(data.profiles)
+    rows[:, perm] = data.profiles
+    counts = [None] * p
+    for j in range(p):
+        counts[perm[j]] = data.strategy_counts[j]
+    renamed = Dataset(counts, rows)
+    config = LearnerConfig().resolved(lam)
+    a, b = fit_game(data, config), fit_game(renamed, config)
+    for i in range(p):
+        fa, fb = a.diagnostics[i], b.diagnostics[perm[i]]
+        assert fa.converged and fb.converged
+        assert fa.objective == pytest.approx(fb.objective, rel=0, abs=1e-12)
+        ind_a, pairs_a = unpack_parameters(a.params[i])
+        ind_b, pairs_b = unpack_parameters(b.params[perm[i]])
+        assert {(perm[x], perm[y]) for x, y in pairs_a} == set(pairs_b)
+        assert np.abs(ind_a - ind_b).max() <= 1e-9
+        for (x, y), mat in pairs_a.items():
+            assert np.abs(mat - pairs_b[(perm[x], perm[y])]).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
